@@ -1,17 +1,21 @@
 // perf_trial: end-to-end trial-pipeline throughput benchmark.
 //
 // Measures run_backscatter_trial on the fig08 mid-range scenario (the
-// 4000-byte PPDU / 600 payload-bit point) in three configurations:
+// 4000-byte PPDU / 600 payload-bit point) in the cold regime every PER
+// point runs: each rep draws fresh trial seeds (derive_trial_seed(rep, i)),
+// so no rep replays another rep's trials. Three configurations:
 //
-//   serial      one trial after another on the calling thread, telemetry on
-//   threads=4   the same trial batch through the Monte-Carlo pool
+//   serial      one trial after another on the calling thread
+//   threads=4   a fresh-seed trial batch through the Monte-Carlo pool
 //   determinism the serial and threads=4 PER must be bit-identical
 //
-// and records the per-stage timing means plus the workspace reuse gauges
-// (runtime.workspace.*) from the serial run. Results go to BENCH_trial.json
-// (override with --out=FILE); scripts/bench_compare.py diffs that file
-// against the committed baseline in CI and fails on a >25% regression of
-// serial trials/sec.
+// Both timed legs run without a collector, so scaling_efficiency_4t
+// compares like with like. One further untimed-for-throughput serial rep
+// runs with a collector and supplies the per-stage timing means plus the
+// workspace reuse gauges (runtime.workspace.*). Results go to
+// BENCH_trial.json (override with --out=FILE); scripts/bench_compare.py
+// diffs that file against the committed baseline in CI and fails on a >25%
+// regression of serial trials/sec.
 //
 // Exit code: non-zero when the parallel PER diverges from serial or the
 // output file cannot be written, so CI catches determinism bugs here too.
@@ -24,10 +28,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "channel/awgn.h"
 #include "dsp/linalg.h"
 #include "obs/collector.h"
-#include "reader/excitation.h"
 #include "obs/export.h"
 #include "sim/backscatter_sim.h"
 #include "sim/parallel.h"
@@ -51,11 +53,13 @@ sim::scenario_config fig08_mid() {
   return cfg;
 }
 
-double wall_seconds_serial(obs::collector* collector) {
+/// One serial rep over the fresh seeds derive_trial_seed(rep, i); every
+/// caller passes a rep index no other rep uses.
+double wall_seconds_serial(std::uint64_t rep, obs::collector* collector) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t seed = 1; seed <= kTrialsPerRep; ++seed) {
+  for (std::uint64_t i = 0; i < kTrialsPerRep; ++i) {
     sim::scenario_config cfg = fig08_mid();
-    cfg.seed = seed;
+    cfg.seed = sim::derive_trial_seed(rep, i);
     cfg.collector = collector;
     sim::run_backscatter_trial(cfg);
   }
@@ -84,46 +88,51 @@ int main(int argc, char** argv) {
 
   bench::print_header("perf_trial", "end-to-end trial pipeline throughput");
   std::printf("scenario: fig08_mid (ppdu=4000B payload=600b dist=2.0m psk16)\n");
-  std::printf("%d trials/rep, %d reps, median wall time\n", kTrialsPerRep,
-              kReps);
+  std::printf("%d trials/rep, %d reps, fresh seeds per rep, median wall "
+              "time\n",
+              kTrialsPerRep, kReps);
 
-  // Warm-up: populate the thread-local workspace and every process-wide
-  // cache (FFT plans, excitation prefix, scrambler keystreams) so the
-  // measured reps see the steady state a Monte-Carlo sweep runs in.
-  wall_seconds_serial(nullptr);
+  // Rep indices: 0 warm-up, 1..kReps serial, kReps + 1 instrumented serial,
+  // then one per pool rep. Every rep's seeds are fresh.
+  std::uint64_t next_rep = 0;
 
-  // Serial throughput, telemetry on (the realistic sweep configuration).
-  // The collector also supplies the per-stage means and — because the
-  // workspace gauges are set at the end of every trial — the post-warm-up
-  // reuse percentages.
-  obs::collector serial_collector;
+  // Warm-up: populate the thread-local workspace and the process-wide
+  // shape tables (FFT plans, excitation prefix, scrambler keystreams) so
+  // the measured reps see the steady state a Monte-Carlo sweep runs in.
+  wall_seconds_serial(next_rep++, nullptr);
+
+  // Serial throughput, no collector (the same setting as the pool leg).
   std::vector<double> serial_walls;
   for (int r = 0; r < kReps; ++r)
-    serial_walls.push_back(wall_seconds_serial(&serial_collector));
+    serial_walls.push_back(wall_seconds_serial(next_rep++, nullptr));
   const double serial_wall = bench::median(serial_walls);
   const double serial_tps = kTrialsPerRep / serial_wall;
   std::printf("serial:    %8.1f trials/sec  (%7.1f us/trial)\n", serial_tps,
               serial_wall / kTrialsPerRep * 1e6);
 
-  // Batch API through the sweep scheduler at 4 threads, plus the serial
-  // reference for the determinism check. packet_error_rate aggregates the
-  // same per-seed trials, so the PERs must match bit-for-bit. The last rep
-  // runs as an instrumented sweep_for to capture the execution report
-  // (per-lane busy seconds, steal count) the scaling diagnosis needs.
+  // Instrumented serial rep: the collector supplies the per-stage means
+  // and — because the workspace gauges are set at the end of every trial —
+  // the post-warm-up reuse percentages.
+  obs::collector serial_collector;
+  wall_seconds_serial(next_rep++, &serial_collector);
+
+  // Batch API through the sweep scheduler at 4 threads, each rep on a
+  // fresh base seed (packet_error_rate runs derive_trial_seed(base, t)),
+  // plus the serial reference for the determinism check: packet_error_rate
+  // aggregates the same per-seed trials, so the last rep's PER must match
+  // its 1-thread rerun bit-for-bit. A further rep runs as an instrumented
+  // sweep_for to capture the execution report (per-lane busy seconds,
+  // steal count) the scaling diagnosis needs.
   double per_serial = 0.0;
   double per_threads = 0.0;
   double pool_wall = 0.0;
   sim::sweep_stats pool_stats;
   {
     sim::scenario_config cfg = fig08_mid();
-    cfg.seed = 1;
-    {
-      sim::scoped_thread_count guard(1);
-      per_serial = sim::packet_error_rate(cfg, kTrialsPerRep);
-    }
     sim::scoped_thread_count guard(pool_threads);
     std::vector<double> walls;
     for (int r = 0; r < kReps; ++r) {
+      cfg.seed = next_rep++;
       const auto t0 = std::chrono::steady_clock::now();
       per_threads = sim::packet_error_rate(cfg, kTrialsPerRep);
       walls.push_back(
@@ -131,8 +140,14 @@ int main(int argc, char** argv) {
               .count());
     }
     pool_wall = bench::median(walls);
-    // Instrumented rep: the same per-seed trial batch packet_error_rate
-    // runs, through the same scheduler, but with the stats returned to us.
+    {
+      sim::scoped_thread_count serial_guard(1);
+      per_serial = sim::packet_error_rate(cfg, kTrialsPerRep);
+    }
+    // Instrumented rep: a fresh-seed trial batch shaped like
+    // packet_error_rate's, through the same scheduler, but with the stats
+    // returned to us.
+    cfg.seed = next_rep++;
     pool_stats = sim::sweep_for(kTrialsPerRep, [&](std::size_t t) {
       sim::scenario_config c = cfg;
       c.seed = sim::derive_trial_seed(cfg.seed, t);
@@ -185,31 +200,6 @@ int main(int argc, char** argv) {
               "capture\n",
               roi_processed, roi_skipped, roi_coverage * 100.0);
 
-  // Replay-cache effectiveness (process-wide, cumulative across the whole
-  // run): hit rates near 100% after warm-up are what buy the batched
-  // noise/excitation stage times below.
-  const auto noise_cache = channel::awgn_cache_stats();
-  const auto ex_cache = reader::excitation_cache_stats();
-  auto hit_pct = [](std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t total = hits + misses;
-    return total > 0 ? 100.0 * static_cast<double>(hits) /
-                           static_cast<double>(total)
-                     : 0.0;
-  };
-  std::printf("noise cache:      %llu hits / %llu misses (%.1f%%)  "
-              "%zu entries, %.1f MiB\n",
-              static_cast<unsigned long long>(noise_cache.hits),
-              static_cast<unsigned long long>(noise_cache.misses),
-              hit_pct(noise_cache.hits, noise_cache.misses),
-              noise_cache.entries,
-              static_cast<double>(noise_cache.bytes) / (1024.0 * 1024.0));
-  std::printf("excitation cache: %llu hits / %llu misses (%.1f%%)  "
-              "%zu entries, %.1f MiB\n",
-              static_cast<unsigned long long>(ex_cache.hits),
-              static_cast<unsigned long long>(ex_cache.misses),
-              hit_pct(ex_cache.hits, ex_cache.misses), ex_cache.entries,
-              static_cast<double>(ex_cache.bytes) / (1024.0 * 1024.0));
-
   // FIR least-squares size dispatch (process-wide, cumulative): the
   // scenario's 5-8-tap fits over long windows should all land on the
   // bit-exact vectorized build (correlation form is reserved for >=12-tap
@@ -247,25 +237,27 @@ int main(int argc, char** argv) {
               stage_sum * 1e6, trial_mean * 1e6, stage_coverage * 100.0);
 
   // Streaming pipeline: one continuous 32-packet capture with inter-packet
-  // channel/LO drift through reader::stream_session, at 1 and 2 threads.
-  // Uses its own collector so the reader.stream.* stage spans stay out of
-  // the batch-trial stage-coverage math above; the decoded bit-stream must
-  // be identical across topologies (streaming determinism contract).
+  // channel/LO drift through reader::stream_session, at 1 and 2 threads,
+  // on a fresh capture seed per rep. Uses its own collector so the
+  // reader.stream.* stage spans stay out of the batch-trial stage-coverage
+  // math above; an untimed 2-thread rerun of the last 1-thread capture
+  // must decode the identical bit-stream (streaming determinism contract).
   obs::collector stream_collector;
   sim::stream_scenario_config stream_cfg;
   stream_cfg.scenario = fig08_mid();
-  stream_cfg.scenario.seed = 1;
   stream_cfg.scenario.collector = &stream_collector;
   stream_cfg.n_packets = 32;
   stream_cfg.forward_drift.coherence_packets = 16.0;
   stream_cfg.lo_drift.step_std_rad = 0.02;
   stream_cfg.feed_chunk_samples = 1u << 14;
 
+  std::uint64_t next_stream_seed = 1;
   auto stream_rep = [&](std::size_t threads, std::vector<double>& walls,
                         int reps) {
     stream_cfg.threads = threads;
     sim::stream_trial_result last;
     for (int r = 0; r < reps; ++r) {
+      stream_cfg.scenario.seed = next_stream_seed++;
       const auto t0 = std::chrono::steady_clock::now();
       last = sim::run_stream_trial(stream_cfg);
       walls.push_back(
@@ -276,12 +268,15 @@ int main(int argc, char** argv) {
   };
   std::vector<double> stream_walls_1t;
   std::vector<double> stream_walls_2t;
-  stream_rep(1, stream_walls_1t, 1);  // warm-up (capture caches, buffers)
+  stream_rep(1, stream_walls_1t, 1);  // warm-up (buffers, shape tables)
   stream_walls_1t.clear();
   const sim::stream_trial_result stream_1t =
       stream_rep(1, stream_walls_1t, kReps);
-  const sim::stream_trial_result stream_2t =
-      stream_rep(2, stream_walls_2t, kReps);
+  const std::uint64_t last_1t_seed = stream_cfg.scenario.seed;
+  stream_rep(2, stream_walls_2t, kReps);
+  stream_cfg.threads = 2;
+  stream_cfg.scenario.seed = last_1t_seed;
+  const sim::stream_trial_result stream_2t = sim::run_stream_trial(stream_cfg);
   const double stream_wall_1t = bench::median(stream_walls_1t);
   const double stream_wall_2t = bench::median(stream_walls_2t);
   const double stream_pps_1t = stream_cfg.n_packets / stream_wall_1t;
@@ -356,18 +351,6 @@ int main(int argc, char** argv) {
             static_cast<double>(sr.stats.roi_samples_processed));
   append_kv(json, "stream_samples_skipped",
             static_cast<double>(sr.stats.roi_samples_skipped), true);
-  json += "  },\n";
-  json += "  \"caches\": {\n";
-  append_kv(json, "noise_hits", static_cast<double>(noise_cache.hits));
-  append_kv(json, "noise_misses", static_cast<double>(noise_cache.misses));
-  append_kv(json, "noise_entries", static_cast<double>(noise_cache.entries));
-  append_kv(json, "noise_bytes", static_cast<double>(noise_cache.bytes));
-  append_kv(json, "excitation_hits", static_cast<double>(ex_cache.hits));
-  append_kv(json, "excitation_misses", static_cast<double>(ex_cache.misses));
-  append_kv(json, "excitation_entries",
-            static_cast<double>(ex_cache.entries));
-  append_kv(json, "excitation_bytes", static_cast<double>(ex_cache.bytes),
-            true);
   json += "  },\n";
   json += "  \"fir_ls_dispatch\": {\n";
   append_kv(json, "correlation", static_cast<double>(ls_counts.correlation));
