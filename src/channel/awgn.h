@@ -18,21 +18,13 @@ namespace backfi::channel {
 /// Complex AWGN of total power `noise_power` (E|n|^2) added in place.
 ///
 /// Stream-position contract (pinned by ChannelAwgnTest): when
-/// `noise_power <= 0` the call returns WITHOUT touching `gen` — zero draws
-/// are consumed, exactly as the seed implementation behaved. Callers that
-/// need draw positions to be independent of the noise power must not rely
-/// on add_awgn advancing the stream. When `noise_power > 0` the call
-/// consumes exactly the draws of `x.size()` complex_gaussian() calls.
-///
-/// Implementation: the Gaussian synthesis runs through the batched
-/// dsp::rng block kernels, fronted by a process-wide replay cache keyed on
-/// (entering RNG state, length). Repeated (seed, scenario) trials — perf
-/// reps, fig08/fig10 grids, wild-traffic arms — replay the identical RNG
-/// state at this stage, so the cache turns their Box-Muller synthesis into
-/// one fused vectorized scaled-add; `gen` is restored to the exact
-/// position a generating pass ends at, and hit/miss results are bitwise
-/// identical by construction. Budget: BACKFI_NOISE_CACHE_MB (MiB, default
-/// 64, 0 disables).
+/// `noise_power <= 0` (or `x` is empty) the call returns WITHOUT touching
+/// `gen` — zero draws are consumed. Callers that need draw positions to be
+/// independent of the noise power must not rely on add_awgn advancing the
+/// stream. Otherwise the call consumes exactly one gen.next_u64(), whatever
+/// `x.size()` is: that draw keys the counter-based generator of
+/// dsp/philox.h, and sample i receives complex normal i of that key, so the
+/// noise is a pure function of (key, sample index).
 void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen);
 
 /// Noise power normalized to the transmit power reference: the receiver's
@@ -40,16 +32,12 @@ void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen);
 double normalized_noise_power(double tx_power_dbm, double bandwidth_hz,
                               double noise_figure_db);
 
-/// Hit/miss/size counters of the AWGN replay cache (process-wide,
-/// cumulative). Exported as runtime.noise_cache.* gauges by the trial
-/// runner; all-zero when the cache is disabled.
+/// Retired replay-cache counters: always zero. Kept only for the
+/// benchmark driver's counter snapshot, which still reads them.
 struct noise_cache_stats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-  std::size_t bytes = 0;
 };
-noise_cache_stats awgn_cache_stats();
+inline noise_cache_stats awgn_cache_stats() { return {}; }
 
 }  // namespace backfi::channel

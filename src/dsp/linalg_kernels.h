@@ -1,6 +1,6 @@
 // Hot inner loops of the FIR least-squares normal equations, compiled in
 // their own translation unit with aggressive flags (see dsp/CMakeLists.txt:
-// -O3 -mavx2 -ffp-contract=off, the adc.cpp / rng_kernels.cpp pattern).
+// -O3 -mavx2 -ffp-contract=off, the adc.cpp / philox_kernels.cpp pattern).
 //
 // Two builders, selected by estimate_fir_least_squares' size dispatch:
 //

@@ -5,9 +5,7 @@
 // and benchmark is reproducible run-to-run and machine-to-machine.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "dsp/types.h"
@@ -19,18 +17,10 @@ namespace backfi::dsp {
 /// (std::normal_distribution is implementation-defined, so we roll our own
 /// Box-Muller on top of a fixed bit generator).
 ///
-/// Two families of draw APIs share one stream:
-///  - scalar methods (next_u64, uniform, gaussian, ...): the seed
-///    implementation, whose exact draw order every pinned literal in the
-///    test suite depends on;
-///  - block methods (fill_*, add_scaled_complex_gaussian): generate a whole
-///    buffer per call with the *same stream, same draw order and the same
-///    per-value arithmetic* as the equivalent scalar loop, so their output
-///    is bit-identical — they only restructure the work so the hot noise
-///    synthesis stages batch, pipeline the libm calls and vectorize the
-///    combines. The block methods live in rng_kernels.cpp, the per-TU SIMD
-///    unit (see src/dsp/CMakeLists.txt); equivalence is pinned by
-///    tests/dsp/rng_kernels_test.cpp.
+/// The scalar draws serve the per-trial decisions (channel taps, payload
+/// bytes, arrival times). Bulk Gaussian noise does not come from this
+/// stream: those stages take one next_u64() as the key of the
+/// counter-based generator in dsp/philox.h.
 class rng {
  public:
   explicit rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
@@ -76,70 +66,11 @@ class rng {
   /// n random bits, one per byte (0 or 1). Legacy draw order: one full
   /// next_u64() is consumed *per bit* (bit 0 of each draw). Pinned trial
   /// literals (tag payloads) depend on these stream positions, so this
-  /// method must never change; batch consumers wanting one draw per 64
-  /// bits use fill_bits() instead.
+  /// method must never change.
   std::vector<std::uint8_t> random_bits(std::size_t n);
 
   /// Derive an independent child generator (for per-trial streams).
   rng fork();
-
-  /// Complete generator state: stream position plus the Box-Muller spare.
-  /// Replay caches key on a snapshot (two generators with equal snapshots
-  /// produce identical draw sequences forever) and restore one to reproduce
-  /// the exact stream position a cached generation pass ended at.
-  struct state_snapshot {
-    std::array<std::uint64_t, 4> state;
-    bool have_spare = false;
-    double spare = 0.0;
-
-    bool operator==(const state_snapshot&) const = default;
-  };
-
-  state_snapshot save() const {
-    // Normalize the dead spare: once consumed, the residual value can
-    // differ between draw paths without being observable, and snapshots of
-    // logically identical states must compare (and hash) equal.
-    return {{state_[0], state_[1], state_[2], state_[3]}, have_spare_gaussian_,
-            have_spare_gaussian_ ? spare_gaussian_ : 0.0};
-  }
-
-  void restore(const state_snapshot& snapshot) {
-    state_[0] = snapshot.state[0];
-    state_[1] = snapshot.state[1];
-    state_[2] = snapshot.state[2];
-    state_[3] = snapshot.state[3];
-    have_spare_gaussian_ = snapshot.have_spare;
-    spare_gaussian_ = snapshot.spare;
-  }
-
-  // --- Block API (rng_kernels.cpp) ---------------------------------------
-  // Each fill_* call consumes the stream exactly as the equivalent scalar
-  // loop and produces bit-identical values (including Box-Muller spare
-  // carry-in/-out and the u1 > 0 rejection redraws).
-
-  /// out[i] = next_u64() in order.
-  void fill_u64(std::span<std::uint64_t> out);
-
-  /// out[i] = uniform() in order.
-  void fill_uniform(std::span<double> out);
-
-  /// n random bits, one per byte (0 or 1), *packed* draw order: one
-  /// next_u64() per 64 bits, bit i taken LSB-first from draw i / 64 — so
-  /// bit 0 matches what random_bits' first draw would have produced, but
-  /// the stream advances ceil(n / 64) positions instead of n. Not
-  /// interchangeable with random_bits(): different stream consumption.
-  void fill_bits(std::span<std::uint8_t> out);
-
-  /// out[i] = gaussian() in order (Box-Muller pairs, spare carried in/out).
-  void fill_gaussian(std::span<double> out);
-
-  /// out[i] = complex_gaussian() in order.
-  void fill_complex_gaussian(std::span<cplx> out);
-
-  /// inout[i] += amp * complex_gaussian(), fused — the AWGN inner loop
-  /// without materializing the noise. Identical per-sample arithmetic:
-  /// amp * (component of complex_gaussian()), added once.
-  void add_scaled_complex_gaussian(std::span<cplx> inout, double amp);
 
  private:
   static std::uint64_t rotl_(std::uint64_t x, int k) {

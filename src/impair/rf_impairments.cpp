@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dsp/math_util.h"
+#include "dsp/philox.h"
 
 namespace backfi::impair {
 
@@ -27,17 +28,18 @@ void apply_phase_noise(const phase_noise_config& config, std::span<cplx> x,
   if (config.linewidth_hz <= 0.0) return;
   const double sigma =
       std::sqrt(two_pi * config.linewidth_hz * sample_period_s);
-  // Batched Gaussian increments (one block fill instead of a draw per
-  // sample); the phase walk itself stays the sequential scalar recurrence,
-  // with sin/cos fused into one sincos call. Values are bit-identical to
-  // the per-sample scalar loop.
+  // Gaussian increments from the counter-based generator (one key draw per
+  // call, increment i = normal i of that key), generated a block at a
+  // time; the phase walk itself stays the sequential recurrence, with
+  // sin/cos fused into one sincos call.
+  const std::uint64_t key = gen.next_u64();
   constexpr std::size_t kBlock = 512;
   double g[kBlock];
   double phase = 0.0;
   std::size_t i = 0;
   while (i < x.size()) {
     const std::size_t m = std::min(kBlock, x.size() - i);
-    gen.fill_gaussian(std::span<double>(g, m));
+    dsp::fill_normals(key, i, std::span<double>(g, m));
     for (std::size_t k = 0; k < m; ++k) {
       phase += sigma * g[k];
       double sn, cs;

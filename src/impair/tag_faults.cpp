@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dsp/math_util.h"
+#include "dsp/philox.h"
 
 namespace backfi::impair {
 
@@ -31,15 +32,16 @@ void apply_oscillator_jitter(const oscillator_jitter_config& config,
   }
 
   if (config.phase_jitter_rad > 0.0) {
-    // Batched Gaussian increments + fused sincos, as in apply_phase_noise;
-    // bit-identical to the per-sample scalar walk.
+    // Counter-based Gaussian increments + fused sincos, as in
+    // apply_phase_noise: one key draw, increment k = normal k of the key.
+    const std::uint64_t key = gen.next_u64();
     constexpr std::size_t kBlock = 512;
     double g[kBlock];
     double phase = 0.0;
     std::size_t n = active_begin;
     while (n < active_end) {
       const std::size_t m = std::min(kBlock, active_end - n);
-      gen.fill_gaussian(std::span<double>(g, m));
+      dsp::fill_normals(key, n - active_begin, std::span<double>(g, m));
       for (std::size_t k = 0; k < m; ++k) {
         phase += config.phase_jitter_rad * g[k];
         double sn, cs;

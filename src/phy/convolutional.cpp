@@ -51,8 +51,39 @@ const trellis_tables& tables() {
   return t;
 }
 
-/// Puncture pattern per rate over the mother-code bit index (period in
-/// mother bits; 1 = transmit, 0 = puncture).
+/// Byte-at-a-time encoder tables: from state s, the eight input bits of
+/// byte v (LSB first) emit 16 mother bits (LSB first, out0 then out1 per
+/// step) and leave the trellis in next[s][v].
+struct byte_tables {
+  std::array<std::array<std::uint16_t, 256>, kStates> bits;
+  std::array<std::array<std::uint8_t, 256>, kStates> next;
+};
+
+const byte_tables& byte_table() {
+  static const byte_tables bt = [] {
+    const auto& t = tables();
+    byte_tables b{};
+    for (int s0 = 0; s0 < kStates; ++s0) {
+      for (int v = 0; v < 256; ++v) {
+        std::uint8_t state = static_cast<std::uint8_t>(s0);
+        std::uint16_t out = 0;
+        for (int k = 0; k < 8; ++k) {
+          const int bit = (v >> k) & 1;
+          out |= static_cast<std::uint16_t>(t.out0[state][bit] << (2 * k));
+          out |= static_cast<std::uint16_t>(t.out1[state][bit] << (2 * k + 1));
+          state = t.next_state[state][bit];
+        }
+        b.bits[s0][v] = out;
+        b.next[s0][v] = state;
+      }
+    }
+    return b;
+  }();
+  return bt;
+}
+
+}  // namespace
+
 std::span<const std::uint8_t> puncture_pattern(code_rate rate) {
   static constexpr std::uint8_t kHalf[] = {1, 1};
   static constexpr std::uint8_t kTwoThirds[] = {1, 1, 1, 0};
@@ -64,8 +95,6 @@ std::span<const std::uint8_t> puncture_pattern(code_rate rate) {
   }
   throw std::logic_error("unknown code rate");
 }
-
-}  // namespace
 
 double code_rate_value(code_rate rate) {
   switch (rate) {
@@ -101,6 +130,38 @@ bitvec conv_encode(std::span<const std::uint8_t> info) {
   for (std::uint8_t bit : info) push(bit & 1u);
   for (std::size_t i = 0; i < conv_tail_bits; ++i) push(0);
   return out;
+}
+
+std::size_t conv_packed_words(std::size_t n_info) {
+  const std::size_t steps = n_info + conv_tail_bits;
+  return ((steps + 7) / 8 + 3) / 4;  // 16 mother bits per input byte
+}
+
+void conv_encode_packed(std::span<const std::uint8_t> info, std::size_t n_info,
+                        std::span<std::uint64_t> out) {
+  if (info.size() * 8 < n_info)
+    throw std::invalid_argument("conv_encode_packed: info shorter than n_info");
+  const std::size_t n_words = conv_packed_words(n_info);
+  if (out.size() < n_words)
+    throw std::invalid_argument("conv_encode_packed: output too short");
+  const auto& bt = byte_table();
+  const std::size_t full_bytes = n_info / 8;
+  std::uint8_t state = 0;
+  for (std::size_t w = 0; w < n_words; ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::size_t i = 4 * w + k;
+      std::uint8_t v = 0;
+      if (i < full_bytes) {
+        v = info[i];
+      } else if (i == full_bytes && n_info % 8 != 0) {
+        v = static_cast<std::uint8_t>(info[i] & ((1u << (n_info % 8)) - 1u));
+      }
+      word |= static_cast<std::uint64_t>(bt.bits[state][v]) << (16 * k);
+      state = bt.next[state][v];
+    }
+    out[w] = word;
+  }
 }
 
 bitvec puncture(std::span<const std::uint8_t> coded, code_rate rate) {

@@ -34,8 +34,25 @@ inline constexpr std::size_t conv_tail_bits = 6;
 /// is 2 * (len(info) + 6).
 bitvec conv_encode(std::span<const std::uint8_t> info);
 
+/// Packed form of conv_encode: `n_info` info bits packed LSB-first in
+/// `info` (bit t is info[t / 8] >> (t % 8) & 1; bits past n_info are
+/// ignored), then the zero tail, encoded a byte at a time through a
+/// (state, input byte) table. Mother bit m lands LSB-first in out[m / 64]
+/// and equals conv_encode's output bit m for m < 2 * (n_info + 6); the
+/// words past that point carry encoded zero padding. `out` must hold
+/// conv_packed_words(n_info) words.
+void conv_encode_packed(std::span<const std::uint8_t> info, std::size_t n_info,
+                        std::span<std::uint64_t> out);
+
+/// Output words conv_encode_packed() writes for `n_info` info bits.
+std::size_t conv_packed_words(std::size_t n_info);
+
 /// Puncture a rate-1/2 coded stream to the requested rate.
 bitvec puncture(std::span<const std::uint8_t> coded, code_rate rate);
+
+/// Keep/drop pattern of `rate` over the mother-code bit index (period in
+/// mother bits; 1 = transmit, 0 = punctured).
+std::span<const std::uint8_t> puncture_pattern(code_rate rate);
 
 /// Expand a punctured soft stream back to `mother_length` mother-code
 /// positions, inserting zero (erasure) metrics at punctured positions.

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <memory>
 #include <mutex>
 
-#include "dsp/replay_cache.h"
 #include "dsp/rng.h"
 #include "phy/prbs.h"
+#include "wifi/ofdm.h"
 #include "wifi/preamble.h"
 
 namespace backfi::reader {
@@ -18,12 +17,13 @@ namespace {
 constexpr std::size_t samples_per_wake_bit = 20;  // 1 us at 20 MS/s
 
 // Everything in the excitation that does not depend on the per-trial payload
-// seed: the tag's wake preamble (bits + expanded on/off pulses) and the WiFi
-// legacy preamble + SIGNAL symbol of each PPDU. Entries live on an immutable
-// singly-linked list (same publication pattern as the dsp fft_plan cache):
-// steady-state lookups are one acquire load and a short walk, misses build
-// the entry under a mutex, and entries are never destroyed so references
-// stay valid for the life of the process.
+// seed: the tag's wake preamble (bits + expanded on/off pulses), the WiFi
+// legacy preamble + SIGNAL symbol of each PPDU, and the DATA-field plan
+// (scrambler keystream, puncture + interleaver gather table, mapper LUT).
+// Entries live on an immutable singly-linked list (same publication
+// pattern as the dsp fft_plan cache): steady-state lookups are one acquire
+// load and a short walk, misses build the entry under a mutex, and entries
+// are never destroyed so references stay valid for the life of the process.
 struct prefix_entry {
   std::uint32_t tag_id = 0;
   std::size_t wake_bits = 0;
@@ -32,6 +32,7 @@ struct prefix_entry {
   phy::bitvec wake_preamble;
   cvec wake_samples;  ///< wake preamble expanded to 1 us on/off pulses
   cvec ppdu_prefix;   ///< legacy preamble + SIGNAL symbol for this shape
+  wifi::data_plan plan;
   const prefix_entry* next = nullptr;
 };
 
@@ -67,119 +68,12 @@ const prefix_entry& prefix_for(const excitation_config& config) {
   entry->ppdu_prefix = wifi::legacy_preamble();
   const cvec sig = wifi::signal_symbol(config.rate, config.ppdu_bytes);
   entry->ppdu_prefix.insert(entry->ppdu_prefix.end(), sig.begin(), sig.end());
+  entry->plan = wifi::make_data_plan(config.rate, config.ppdu_bytes);
 
   entry->next = g_prefix_head.load(std::memory_order_relaxed);
   const prefix_entry* raw = entry.release();
   g_prefix_head.store(raw, std::memory_order_release);
   return *raw;
-}
-
-// Full-synthesis replay cache on top of the prefix cache: an excitation is
-// a pure function of the whole excitation_config (the per-PPDU payload rng
-// is seeded from payload_seed + i and nothing else), so repeated-seed
-// sweeps — perf reps, fig08/fig10 grids, PER points, wild-traffic arms —
-// can replay the complete waveform instead of re-running payload
-// scrambling/coding/interleaving/IFFT per trial. The entry stores the
-// exact sample buffer (plus PPDU 0's metadata) the synthesis path
-// produced, so hits are bitwise identical to misses by construction.
-struct full_key {
-  std::uint32_t tag_id = 0;
-  std::size_t wake_bits = 0;
-  wifi::wifi_rate rate{};
-  std::size_t ppdu_bytes = 0;
-  std::uint64_t payload_seed = 0;
-  std::size_t n_ppdus = 0;
-  bool operator==(const full_key&) const = default;
-};
-
-struct full_key_hash {
-  std::size_t operator()(const full_key& k) const {
-    std::uint64_t h = dsp::hash_mix_u64(0, k.tag_id);
-    h = dsp::hash_mix_u64(h, k.wake_bits);
-    h = dsp::hash_mix_u64(h, static_cast<std::uint64_t>(k.rate));
-    h = dsp::hash_mix_u64(h, k.ppdu_bytes);
-    h = dsp::hash_mix_u64(h, k.payload_seed);
-    h = dsp::hash_mix_u64(h, k.n_ppdus);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-struct full_entry {
-  cvec samples;                 ///< the complete excitation waveform
-  std::size_t wake_end = 0;
-  std::size_t ppdu_start = 0;
-  phy::bitvec wake_preamble;
-  // PPDU 0 metadata (its samples are the [ppdu_start, ppdu_start +
-  // ppdu0_samples) segment of `samples` by construction).
-  std::size_t ppdu0_samples = 0;
-  std::size_t ppdu0_n_data_symbols = 0;
-  std::size_t ppdu0_data_start = 0;
-  std::vector<std::uint8_t> ppdu0_payload;
-};
-
-using full_cache_t = dsp::replay_cache<full_key, full_entry, full_key_hash>;
-
-full_cache_t& full_cache() {
-  static full_cache_t cache(
-      dsp::cache_budget_bytes("BACKFI_EXCITATION_CACHE_MB", 64));
-  return cache;
-}
-
-full_key key_for(const excitation_config& config) {
-  return {config.tag_id,      config.wake_bits,
-          config.rate,        config.ppdu_bytes,
-          config.payload_seed, std::max<std::size_t>(config.n_ppdus, 1)};
-}
-
-void emit_from_entry(const full_entry& e, const excitation_config& config,
-                     excitation& out, dsp::workspace_stats* stats) {
-  out.wake_preamble = e.wake_preamble;
-  dsp::acquire(out.samples, e.samples.size(), stats);
-  std::copy(e.samples.begin(), e.samples.end(), out.samples.begin());
-  out.wake_end = e.wake_end;
-  out.ppdu_start = e.ppdu_start;
-  out.ppdu.rate = config.rate;
-  out.ppdu.psdu_bytes = config.ppdu_bytes;
-  out.ppdu.n_data_symbols = e.ppdu0_n_data_symbols;
-  out.ppdu.data_start = e.ppdu0_data_start;
-  out.ppdu.payload = e.ppdu0_payload;
-  out.ppdu.samples.assign(
-      e.samples.begin() + static_cast<std::ptrdiff_t>(e.ppdu_start),
-      e.samples.begin() +
-          static_cast<std::ptrdiff_t>(e.ppdu_start + e.ppdu0_samples));
-}
-
-void build_excitation_uncached(const excitation_config& config,
-                               excitation& out, dsp::workspace_stats* stats) {
-  const prefix_entry& pre = prefix_for(config);
-
-  out.wake_preamble = pre.wake_preamble;
-  dsp::acquire(out.samples, excitation_length(config), stats);
-  std::copy(pre.wake_samples.begin(), pre.wake_samples.end(),
-            out.samples.begin());
-  out.wake_end = pre.wake_samples.size();
-  out.ppdu_start = out.wake_end;
-
-  // Unified per-PPDU loop: PPDU i draws its payload from payload_seed + i
-  // (same rng, same draw order as wifi::random_ppdu — the prefix cache never
-  // touches the rng, so every emitted sample is unchanged).
-  const std::size_t n_ppdus = std::max<std::size_t>(config.n_ppdus, 1);
-  thread_local std::vector<std::uint8_t> psdu_scratch;
-  thread_local wifi::tx_ppdu extra_scratch;
-  std::size_t offset = out.ppdu_start;
-  for (std::size_t i = 0; i < n_ppdus; ++i) {
-    dsp::rng gen(config.payload_seed + i);
-    psdu_scratch.resize(config.ppdu_bytes);
-    for (auto& b : psdu_scratch)
-      b = static_cast<std::uint8_t>(gen.uniform_int(256));
-    wifi::tx_ppdu& ppdu = (i == 0) ? out.ppdu : extra_scratch;
-    wifi::transmit_into(psdu_scratch, {.rate = config.rate}, pre.ppdu_prefix,
-                        ppdu, stats);
-    std::copy(ppdu.samples.begin(), ppdu.samples.end(),
-              out.samples.begin() + offset);
-    offset += ppdu.samples.size();
-  }
-  assert(offset == out.samples.size());
 }
 
 }  // namespace
@@ -192,35 +86,41 @@ excitation build_excitation(const excitation_config& config) {
 
 void build_excitation_into(const excitation_config& config, excitation& out,
                            dsp::workspace_stats* stats) {
-  full_cache_t& cache = full_cache();
-  if (!cache.enabled()) {
-    build_excitation_uncached(config, out, stats);
-    return;
-  }
-  const full_key key = key_for(config);
-  if (const auto hit = cache.find(key)) {
-    emit_from_entry(*hit, config, out, stats);
-    return;
-  }
-  build_excitation_uncached(config, out, stats);
-  auto entry = std::make_shared<full_entry>();
-  entry->samples = out.samples;
-  entry->wake_end = out.wake_end;
-  entry->ppdu_start = out.ppdu_start;
-  entry->wake_preamble = out.wake_preamble;
-  entry->ppdu0_samples = out.ppdu.samples.size();
-  entry->ppdu0_n_data_symbols = out.ppdu.n_data_symbols;
-  entry->ppdu0_data_start = out.ppdu.data_start;
-  entry->ppdu0_payload = out.ppdu.payload;
-  const std::size_t bytes = entry->samples.size() * sizeof(cplx) +
-                            entry->ppdu0_payload.size() +
-                            entry->wake_preamble.size() + sizeof(full_entry);
-  cache.insert(key, std::move(entry), bytes);
-}
+  const prefix_entry& pre = prefix_for(config);
+  const wifi::data_plan& plan = pre.plan;
 
-excitation_cache_stats_snapshot excitation_cache_stats() {
-  const auto s = full_cache().stats();
-  return {s.hits, s.misses, s.evictions, s.entries, s.bytes};
+  out.wake_preamble = pre.wake_preamble;
+  dsp::acquire(out.samples, excitation_length(config), stats);
+  std::copy(pre.wake_samples.begin(), pre.wake_samples.end(),
+            out.samples.begin());
+  out.wake_end = pre.wake_samples.size();
+  out.ppdu_start = out.wake_end;
+
+  out.ppdu.samples.clear();
+  out.ppdu.rate = config.rate;
+  out.ppdu.psdu_bytes = config.ppdu_bytes;
+  out.ppdu.n_data_symbols = plan.n_data_symbols;
+  out.ppdu.data_start = pre.ppdu_prefix.size();
+
+  // PPDU i draws its payload from rng(payload_seed + i), as
+  // wifi::random_ppdu does, and is written in place: cached prefix, then
+  // the DATA symbols straight from the plan.
+  const std::size_t n_ppdus = std::max<std::size_t>(config.n_ppdus, 1);
+  const std::size_t data_samples = plan.n_data_symbols * wifi::symbol_samples;
+  thread_local std::vector<std::uint8_t> psdu_scratch;
+  std::span<cplx> samples(out.samples);
+  std::size_t offset = out.ppdu_start;
+  for (std::size_t i = 0; i < n_ppdus; ++i) {
+    std::vector<std::uint8_t>& psdu = (i == 0) ? out.ppdu.payload : psdu_scratch;
+    psdu.resize(config.ppdu_bytes);
+    dsp::rng gen(config.payload_seed + i);
+    for (auto& b : psdu) b = static_cast<std::uint8_t>(gen.uniform_int(256));
+    std::copy(pre.ppdu_prefix.begin(), pre.ppdu_prefix.end(),
+              samples.begin() + static_cast<std::ptrdiff_t>(offset));
+    offset += pre.ppdu_prefix.size();
+    wifi::modulate_data(plan, psdu, samples.subspan(offset, data_samples));
+    offset += data_samples;
+  }
 }
 
 std::size_t excitation_length(const excitation_config& config) {

@@ -30,19 +30,19 @@ struct excitation {
   cvec samples;             ///< wake pulses followed by the PPDU
   std::size_t ppdu_start = 0;
   std::size_t wake_end = 0; ///< nominal tag time origin
-  wifi::tx_ppdu ppdu;       ///< the embedded WiFi packet
+  /// PPDU 0's rate, length, layout and payload. Its samples are not
+  /// duplicated: ppdu.samples stays empty, and the PPDU occupies
+  /// samples[ppdu_start, ppdu_start + ppdu_length_samples(...)).
+  wifi::tx_ppdu ppdu;
   phy::bitvec wake_preamble;
 };
 
-/// Build the excitation for one backscatter opportunity. Two process-wide
-/// caches serve repeated shapes: the prefix cache (wake preamble + WiFi
-/// legacy preamble + SIGNAL, keyed on (tag_id, wake_bits, rate,
-/// ppdu_bytes)) and the full-synthesis replay cache (the complete
-/// waveform including the payload symbols, keyed additionally on
-/// (payload_seed, n_ppdus)), so repeated-seed sweeps pay payload synthesis
-/// once per key. Cache hits are bitwise identical to fresh synthesis;
-/// budget BACKFI_EXCITATION_CACHE_MB (MiB, default 64, 0 disables the
-/// full-synthesis cache — the prefix cache is always on).
+/// Build the excitation for one backscatter opportunity. A process-wide
+/// table, keyed on (tag_id, wake_bits, rate, ppdu_bytes), holds everything
+/// that does not depend on the payload: the wake pulses, the WiFi legacy
+/// preamble + SIGNAL symbol and the DATA-field plan (wifi::data_plan). Each
+/// call therefore redoes only the payload draw and the payload-dependent
+/// scramble/encode/interleave/map/IFFT work.
 excitation build_excitation(const excitation_config& config);
 
 /// As build_excitation(), recycling the caller's excitation buffers across
@@ -54,16 +54,12 @@ void build_excitation_into(const excitation_config& config, excitation& out,
 /// Duration [samples] of an excitation with the given parameters.
 std::size_t excitation_length(const excitation_config& config);
 
-/// Hit/miss/size counters of the full-synthesis excitation cache
-/// (process-wide, cumulative). Exported as runtime.excitation_cache.*
-/// gauges by the trial runner; all-zero when the cache is disabled.
+/// Retired replay-cache counters: always zero. Kept only for the
+/// benchmark driver's counter snapshot, which still reads them.
 struct excitation_cache_stats_snapshot {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-  std::size_t bytes = 0;
 };
-excitation_cache_stats_snapshot excitation_cache_stats();
+inline excitation_cache_stats_snapshot excitation_cache_stats() { return {}; }
 
 }  // namespace backfi::reader

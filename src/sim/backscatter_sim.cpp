@@ -103,11 +103,10 @@ double oracle_post_mrc_snr_db_ws(std::span<const cplx> x,
 }
 
 // Publish the workspace reuse counters (cumulative over the thread's
-// trials; reuse_pct converges to ~100 once every buffer has warmed up)
-// plus the process-wide synthesis replay-cache counters. All of these are
-// execution-dependent (cache state outlives trials and is shared across
-// lanes), so they live under runtime.* — excluded from the deterministic
-// export profile alongside timing.*.
+// trials; reuse_pct converges to ~100 once every buffer has warmed up).
+// They are execution-dependent (workspace state outlives trials and
+// differs per lane), so they live under runtime.* — excluded from the
+// deterministic export profile alongside timing.*.
 void report_workspace_gauges(obs::collector* c, const dsp::workspace_stats& s) {
   if (!c) return;
   c->set_gauge("runtime.workspace.bytes_reused",
@@ -115,22 +114,6 @@ void report_workspace_gauges(obs::collector* c, const dsp::workspace_stats& s) {
   c->set_gauge("runtime.workspace.bytes_allocated",
                static_cast<double>(s.bytes_allocated));
   c->set_gauge("runtime.workspace.reuse_pct", 100.0 * s.reuse_fraction());
-  const channel::noise_cache_stats noise = channel::awgn_cache_stats();
-  c->set_gauge("runtime.noise_cache.hits", static_cast<double>(noise.hits));
-  c->set_gauge("runtime.noise_cache.misses",
-               static_cast<double>(noise.misses));
-  c->set_gauge("runtime.noise_cache.entries",
-               static_cast<double>(noise.entries));
-  c->set_gauge("runtime.noise_cache.bytes", static_cast<double>(noise.bytes));
-  const reader::excitation_cache_stats_snapshot ex =
-      reader::excitation_cache_stats();
-  c->set_gauge("runtime.excitation_cache.hits", static_cast<double>(ex.hits));
-  c->set_gauge("runtime.excitation_cache.misses",
-               static_cast<double>(ex.misses));
-  c->set_gauge("runtime.excitation_cache.entries",
-               static_cast<double>(ex.entries));
-  c->set_gauge("runtime.excitation_cache.bytes",
-               static_cast<double>(ex.bytes));
 }
 
 }  // namespace

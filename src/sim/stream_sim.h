@@ -21,7 +21,9 @@
 //   4. one uniform_int() wake-jitter draw (when the tag woke and
 //      tag_jitter_samples > 0),
 //   5. the payload bits,
-//   6. the AWGN over the packet-plus-gap chunk.
+//   6. the AWGN over the packet-plus-gap chunk: one next_u64() that keys
+//      the counter-based noise generator (channel/awgn.h), whatever the
+//      chunk length.
 // The capture therefore depends only on (config, seed) — never on how the
 // stream is later chunked or decoded — and the decoded bit-stream is
 // bit-identical at 1 and 2 threads and to the per-packet batch reference

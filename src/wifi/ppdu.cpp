@@ -1,10 +1,13 @@
 #include "wifi/ppdu.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <stdexcept>
 
 #include "dsp/rng.h"
 #include "phy/constellation.h"
+#include "phy/convolutional.h"
 #include "phy/interleaver.h"
 #include "phy/scrambler.h"
 #include "wifi/ofdm.h"
@@ -52,41 +55,138 @@ tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config,
   return out;
 }
 
+data_plan make_data_plan(wifi_rate rate, std::size_t psdu_bytes,
+                         std::uint8_t scrambler_seed) {
+  if (psdu_bytes == 0 || psdu_bytes > 4095)
+    throw std::invalid_argument("transmit: PSDU must be 1..4095 bytes");
+  const auto& p = params_for(rate);
+  data_plan plan;
+  plan.rate = rate;
+  plan.psdu_bytes = psdu_bytes;
+  plan.scrambler_seed = scrambler_seed;
+  plan.n_data_symbols = data_symbol_count(psdu_bytes, rate);
+  // Info bits fed to the convolutional encoder: SERVICE + PSDU + pad; the
+  // encoder's own zero tail plays the role of the standard's tail bits.
+  plan.n_info = plan.n_data_symbols * p.n_dbps - phy::conv_tail_bits;
+
+  const phy::bitvec key = phy::scrambler_sequence(scrambler_seed, plan.n_info);
+  plan.keystream.assign((plan.n_info + 7) / 8, 0);
+  for (std::size_t t = 0; t < plan.n_info; ++t)
+    plan.keystream[t / 8] |= static_cast<std::uint8_t>(key[t] << (t % 8));
+
+  // Every symbol spans 2 * n_dbps mother bits, a whole number of puncture
+  // periods for every 802.11a/g rate, so one per-symbol table serves all.
+  const auto pattern = phy::puncture_pattern(p.coding);
+  const std::size_t mother_per_symbol = 2 * p.n_dbps;
+  if (mother_per_symbol % pattern.size() != 0)
+    throw std::logic_error("transmit: symbol not aligned to puncture period");
+  std::vector<std::uint16_t> kept;
+  kept.reserve(p.n_cbps);
+  for (std::size_t m = 0; m < mother_per_symbol; ++m)
+    if (pattern[m % pattern.size()]) kept.push_back(static_cast<std::uint16_t>(m));
+  if (kept.size() != p.n_cbps)
+    throw std::logic_error("transmit: coded length mismatch");
+  const phy::interleaver il(p.n_cbps, p.n_bpsc);
+  plan.label_source.resize(p.n_cbps);
+  for (std::size_t k = 0; k < p.n_cbps; ++k)
+    plan.label_source[il.map_index(k)] = kept[k];
+
+  const auto& constellation = phy::wifi_constellation(p.n_bpsc);
+  plan.point_by_label.resize(constellation.points.size());
+  for (std::size_t i = 0; i < constellation.points.size(); ++i)
+    plan.point_by_label[constellation.labels[i]] = constellation.points[i];
+  return plan;
+}
+
+namespace {
+
+/// Expand packed LSB-first bits into one byte (0 or 1) per bit.
+void unpack_bits(std::span<const std::uint64_t> words, std::uint8_t* out) {
+  static const auto table = [] {
+    std::array<std::uint64_t, 256> t{};
+    for (std::size_t v = 0; v < 256; ++v)
+      for (std::size_t b = 0; b < 8; ++b)
+        t[v] |= static_cast<std::uint64_t>((v >> b) & 1u) << (8 * b);
+    return t;
+  }();
+  for (const std::uint64_t w : words) {
+    for (std::size_t k = 0; k < 8; ++k) {
+      const std::uint64_t expanded = table[(w >> (8 * k)) & 0xFFu];
+      std::memcpy(out, &expanded, 8);  // byte b of `expanded` = bit b
+      out += 8;
+    }
+  }
+}
+
+/// Labels of one symbol's 48 subcarriers, gathered from its mother bits
+/// (one byte per bit) through the plan's puncture + interleaver table.
+template <std::size_t NBpsc>
+void map_symbol(const std::uint8_t* mother, const data_plan& plan,
+                std::span<cplx, n_data_subcarriers> points) {
+  const std::uint16_t* src = plan.label_source.data();
+  for (cplx& point : points) {
+    std::uint32_t label = 0;
+    for (std::size_t b = 0; b < NBpsc; ++b) label = (label << 1) | mother[src[b]];
+    src += NBpsc;
+    point = plan.point_by_label[label];
+  }
+}
+
+}  // namespace
+
+void modulate_data(const data_plan& plan, std::span<const std::uint8_t> psdu,
+                   std::span<cplx> out) {
+  if (psdu.size() != plan.psdu_bytes)
+    throw std::invalid_argument("modulate_data: PSDU length differs from plan");
+  if (out.size() != plan.n_data_symbols * symbol_samples)
+    throw std::invalid_argument("modulate_data: output must span the DATA field");
+  const auto& p = params_for(plan.rate);
+
+  // Packed LSB-first info bits: SERVICE (two zero bytes), the PSDU bytes
+  // verbatim, zero pad — scrambled by one XOR per byte — then encoded a
+  // byte at a time and expanded to one byte per mother bit.
+  thread_local std::vector<std::uint8_t> info;
+  thread_local std::vector<std::uint64_t> mother;
+  thread_local std::vector<std::uint8_t> mother_bits;
+  thread_local cvec freq_scratch;
+  info.assign(plan.keystream.size(), 0);
+  std::copy(psdu.begin(), psdu.end(), info.begin() + 2);
+  for (std::size_t i = 0; i < info.size(); ++i) info[i] ^= plan.keystream[i];
+  mother.resize(phy::conv_packed_words(plan.n_info));
+  phy::conv_encode_packed(info, plan.n_info, mother);
+  mother_bits.resize(64 * mother.size());
+  unpack_bits(mother, mother_bits.data());
+
+  std::array<cplx, n_data_subcarriers> points;
+  const std::size_t mother_per_symbol = 2 * p.n_dbps;
+  for (std::size_t s = 0; s < plan.n_data_symbols; ++s) {
+    const std::uint8_t* m = mother_bits.data() + s * mother_per_symbol;
+    switch (p.n_bpsc) {
+      case 1: map_symbol<1>(m, plan, points); break;
+      case 2: map_symbol<2>(m, plan, points); break;
+      case 4: map_symbol<4>(m, plan, points); break;
+      case 6: map_symbol<6>(m, plan, points); break;
+      default: throw std::logic_error("modulate_data: unsupported n_bpsc");
+    }
+    modulate_symbol_into(points, s + 1,  // SIGNAL was index 0
+                         out.subspan(s * symbol_samples, symbol_samples),
+                         freq_scratch);
+  }
+}
+
 void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
                    std::span<const cplx> prefix, tx_ppdu& out,
                    dsp::workspace_stats* stats) {
-  if (psdu.empty() || psdu.size() > 4095)
-    throw std::invalid_argument("transmit: PSDU must be 1..4095 bytes");
-  const auto& p = params_for(config.rate);
-  const std::size_t n_sym = data_symbol_count(psdu.size(), config.rate);
-  // Info bits fed to the convolutional encoder: SERVICE + PSDU + pad; the
-  // encoder's own zero tail plays the role of the standard's tail bits.
-  const std::size_t n_info = n_sym * p.n_dbps - phy::conv_tail_bits;
-
-  phy::bitvec info(16, 0);  // SERVICE field (all zero)
-  const phy::bitvec payload_bits = phy::bytes_to_bits(psdu);
-  info.insert(info.end(), payload_bits.begin(), payload_bits.end());
-  info.resize(n_info, 0);  // pad bits
-
-  const phy::bitvec scrambled = phy::scramble(info, config.scrambler_seed);
-  const phy::bitvec mother = phy::conv_encode(scrambled);
-  const phy::bitvec coded = phy::puncture(mother, p.coding);
-  if (coded.size() != n_sym * p.n_cbps)
-    throw std::logic_error("transmit: coded length mismatch");
-
-  const phy::interleaver il(p.n_cbps, p.n_bpsc);
-  const auto& constellation = phy::wifi_constellation(p.n_bpsc);
-
+  const data_plan plan =
+      make_data_plan(config.rate, psdu.size(), config.scrambler_seed);
   out.rate = config.rate;
   out.psdu_bytes = psdu.size();
   out.payload.assign(psdu.begin(), psdu.end());
-  out.n_data_symbols = n_sym;
+  out.n_data_symbols = plan.n_data_symbols;
   out.data_start = preamble_samples + symbol_samples;
 
-  // Presize once and modulate each data symbol in place: the append-per-symbol
-  // reallocations and per-symbol interleave/map/IFFT temporaries dominate the
-  // transmitter for long PPDUs.
-  dsp::acquire(out.samples, out.data_start + n_sym * symbol_samples, stats);
+  dsp::acquire(out.samples, out.data_start + plan.n_data_symbols * symbol_samples,
+               stats);
   if (prefix.empty()) {
     const cvec preamble = legacy_preamble();
     const cvec sig = signal_symbol(config.rate, psdu.size());
@@ -97,20 +197,8 @@ void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
       throw std::invalid_argument("transmit: prefix must be preamble + SIGNAL");
     std::copy(prefix.begin(), prefix.end(), out.samples.begin());
   }
-
-  phy::bitvec interleaved(p.n_cbps);
-  cvec points(n_data_subcarriers);
-  cvec freq_scratch;
-  for (std::size_t s = 0; s < n_sym; ++s) {
-    const std::span<const std::uint8_t> block(coded.data() + s * p.n_cbps, p.n_cbps);
-    il.interleave_into(block, interleaved);
-    constellation.map_into(interleaved, points);
-    modulate_symbol_into(points, s + 1,  // SIGNAL was index 0
-                         std::span<cplx>(out.samples)
-                             .subspan(out.data_start + s * symbol_samples,
-                                      symbol_samples),
-                         freq_scratch);
-  }
+  modulate_data(plan, psdu,
+                std::span<cplx>(out.samples).subspan(out.data_start));
 }
 
 std::size_t ppdu_length_samples(std::size_t length_bytes, wifi_rate rate) {

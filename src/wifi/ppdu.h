@@ -34,6 +34,38 @@ struct tx_ppdu {
   std::vector<std::uint8_t> payload;  ///< the PSDU itself (for verification)
 };
 
+/// The payload-independent tables of one DATA field shape (rate, PSDU
+/// length, scrambler seed), so that each PPDU of that shape redoes only the
+/// work that depends on its payload bytes.
+struct data_plan {
+  wifi_rate rate{};
+  std::size_t psdu_bytes = 0;
+  std::uint8_t scrambler_seed = 0;
+  std::size_t n_data_symbols = 0;
+  std::size_t n_info = 0;  ///< SERVICE + PSDU + pad bits (tail excluded)
+  /// Scrambler keystream over the n_info bits, packed LSB-first.
+  std::vector<std::uint8_t> keystream;
+  /// For interleaved coded bit j of a symbol (subcarrier j / n_bpsc, label
+  /// bit j % n_bpsc, MSB first): the mother-code bit offset within that
+  /// symbol's 2 * n_dbps mother bits it comes from — puncturing and the
+  /// interleaver permutation folded into one gather table.
+  std::vector<std::uint16_t> label_source;
+  /// Mapper LUT: constellation point by bit label.
+  std::vector<cplx> point_by_label;
+};
+
+/// Build the plan for `psdu_bytes` (1..4095) at `rate`.
+data_plan make_data_plan(wifi_rate rate, std::size_t psdu_bytes,
+                         std::uint8_t scrambler_seed = 0x5D);
+
+/// Modulate the DATA field of `psdu` (exactly plan.psdu_bytes bytes) into
+/// `out` (exactly plan.n_data_symbols * symbol_samples samples): scramble,
+/// encode, puncture, interleave and map on packed bits, then one OFDM
+/// symbol at a time straight into `out`. Bit-identical to the DATA samples
+/// of transmit().
+void modulate_data(const data_plan& plan, std::span<const std::uint8_t> psdu,
+                   std::span<cplx> out);
+
 /// Build the 18 SIGNAL-field information bits (RATE, reserved, LENGTH,
 /// parity) for a given rate and PSDU length.
 phy::bitvec signal_info_bits(wifi_rate rate, std::size_t length_bytes);

@@ -40,6 +40,26 @@ TEST(ConvolutionalTest, SingleOneProducesImpulseResponse) {
   }
 }
 
+TEST(ConvolutionalTest, PackedEncoderMatchesBitEncoder) {
+  // Every length class: whole bytes, a partial final byte, and lengths
+  // whose tail spills into a further output word.
+  dsp::rng gen(17);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                              std::size_t{26}, std::size_t{58}, std::size_t{1001}}) {
+    std::vector<std::uint8_t> packed((n + 7) / 8 + 1);
+    for (auto& b : packed) b = static_cast<std::uint8_t>(gen.uniform_int(256));
+    bitvec bits(n);
+    for (std::size_t t = 0; t < n; ++t) bits[t] = (packed[t / 8] >> (t % 8)) & 1u;
+    const bitvec expected = conv_encode(bits);
+
+    std::vector<std::uint64_t> words(conv_packed_words(n));
+    conv_encode_packed(packed, n, words);
+    ASSERT_GE(64 * words.size(), expected.size()) << n;
+    for (std::size_t m = 0; m < expected.size(); ++m)
+      ASSERT_EQ((words[m / 64] >> (m % 64)) & 1u, expected[m]) << "n=" << n << " m=" << m;
+  }
+}
+
 TEST(ConvolutionalTest, HardDecodeNoErrorsRoundTrip) {
   dsp::rng gen(2);
   const bitvec info = gen.random_bits(200);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "channel/pathloss.h"
 
 namespace backfi::sim {
@@ -36,17 +38,25 @@ TEST(CoexistenceTest, ClientDecodesWithTagAtModerateDistance) {
 }
 
 TEST(CoexistenceTest, VeryCloseTagDegradesSnr) {
-  // Paper Fig. 13b: tag at 0.25 m measurably lowers client SNR.
+  // Paper Fig. 13b: tag at 0.25 m measurably lowers client SNR. The tag
+  // stays silent through the client's preamble, so the preamble SNR
+  // estimate (client_snr_db) cannot see it: with on/off runs sharing one
+  // noise realization it is identical, and over 60 seeds its means agree
+  // within 0.1 dB. The drop shows on the data symbols, so the SNR compared
+  // here is the EVM-derived -20 log10(EVM).
   double snr_on = 0.0, snr_off = 0.0;
   const int trials = 6;
+  auto data_snr_db = [](const coexistence_result& r) {
+    return -20.0 * std::log10(r.client_evm_rms);
+  };
   for (int t = 0; t < trials; ++t) {
     coexistence_config cfg = base_config();
     cfg.ap_tag_distance_m = 0.25;
     cfg.seed = 100 + t;
     cfg.tag_active = true;
-    snr_on += run_coexistence_trial(cfg).client_snr_db;
+    snr_on += data_snr_db(run_coexistence_trial(cfg));
     cfg.tag_active = false;
-    snr_off += run_coexistence_trial(cfg).client_snr_db;
+    snr_off += data_snr_db(run_coexistence_trial(cfg));
   }
   EXPECT_LT(snr_on, snr_off);
 }

@@ -1,8 +1,8 @@
-// Bit-identity guard for the zero-alloc trial hot path: pinned pre-change
+// Bit-identity guard for the zero-alloc trial hot path: pinned
 // trial_result literals for fixed seeds, thread-count independence, and the
-// workspace reuse gauges. Every double below was captured from the
-// allocating implementation before the workspace/windowed-estimation
-// restructure; EXPECT_EQ (not NEAR) is the point.
+// workspace reuse gauges. Every double below is pinned exactly (re-pinned
+// once when the bulk noise moved to the counter-based generator);
+// EXPECT_EQ (not NEAR) is the point.
 #include "sim/backscatter_sim.h"
 
 #include <gtest/gtest.h>
@@ -63,18 +63,18 @@ void expect_clean_decode(const trial_result& r, const pinned_link& p) {
 
 TEST(TrialWorkspaceTest, PinnedFig08MidTrialLiterals) {
   const pinned_link pins[] = {
-      {1, 18, 21.071311474992132, 20.249775125496146, 1.0095487875450153,
-       38.101940753924055, 93.657531583178582, 0.99611578938472778,
-       0.13959279789580115},
-      {2, 8, 20.287453834123355, 22.614753874231202, 1.5509648657818129,
-       35.245453458967411, 93.344524506649563, 0.99535282504227462,
-       0.11590022933265229},
-      {3, 25, 17.136920025798169, 19.506378145520838, 0.9441169823906953,
-       37.475019432824354, 94.132720808162674, 0.9904712520873763,
-       0.15076393248718464},
-      {7, 5, 22.142199558974426, 23.265495190160166, 1.5023054899817103,
-       37.085644212667773, 93.642668255898954, 0.99696074852992023,
-       0.1071522626670624},
+      {1, 18, 20.449544819040707, 20.249775125496146, 1.3202697690225271,
+       38.101815872433924, 93.346812738139619, 0.99552193206961048,
+       0.13371704221254765},
+      {2, 14, 18.86437114767293, 22.614753874231202, 1.5908441640506843,
+       35.245295344274027, 93.304647673310825, 0.9935682788710688,
+       0.11275863439987151},
+      {3, 30, 19.035125363750147, 19.506378145520838, 0.66675474963169723,
+       37.474325902062795, 94.410066710964315, 0.99381395586300592,
+       0.13607084699818317},
+      {7, 2, 21.920218534880867, 23.265495190160166, 1.1201218349166677,
+       37.084887900963039, 94.024849024349379, 0.99680212835042703,
+       0.10339476262402132},
   };
   for (const pinned_link& p : pins) {
     const trial_result r = run_backscatter_trial(fig08_mid(p.seed));
@@ -88,11 +88,13 @@ TEST(TrialWorkspaceTest, PinnedFig08MidTrialLiterals) {
 
 TEST(TrialWorkspaceTest, PinnedDefaultScenarioLiterals) {
   {
-    const trial_result r = run_backscatter_trial(default_at_range(42));
-    const pinned_link p{42, 93, 3.9104325786743841, 5.7709038707118046,
-                        1.740848297567966, 36.684523960459032,
-                        93.206585973006753, 0.84322821808562354,
-                        0.62168380913339494};
+    // 4.5 m is a marginal link: seed 42 fails its CRC (14 bit errors), so
+    // the first clean decode at this range, seed 46, is pinned here.
+    const trial_result r = run_backscatter_trial(default_at_range(46));
+    const pinned_link p{46, 9, 5.8467712540465513, 10.593580353859791,
+                        1.6324124670417783, 36.740961753093366,
+                        93.374640436472291, 0.89079681107220621,
+                        0.40060736277684356};
     expect_clean_decode(r, p);
     EXPECT_EQ(r.payload_symbols, 438u);
     EXPECT_EQ(r.tag_energy_pj, 1777.8171599999998);
@@ -106,16 +108,16 @@ TEST(TrialWorkspaceTest, PinnedDefaultScenarioLiterals) {
     EXPECT_TRUE(r.decoded);
     EXPECT_FALSE(r.crc_ok);
     EXPECT_EQ(r.failure, reader::decode_failure::crc_failed);
-    EXPECT_EQ(r.bit_errors, 25u);
-    EXPECT_EQ(r.raw_symbol_errors, 87u);
+    EXPECT_EQ(r.bit_errors, 62u);
+    EXPECT_EQ(r.raw_symbol_errors, 137u);
     EXPECT_EQ(r.payload_symbols, 438u);
-    EXPECT_EQ(r.link.post_mrc_snr_db, 4.2886973182057648);
+    EXPECT_EQ(r.link.post_mrc_snr_db, 4.9242685496929193);
     EXPECT_EQ(r.link.expected_snr_db, 4.3790799909669671);
-    EXPECT_EQ(r.link.residual_si_over_noise_db, 0.82210410339547801);
-    EXPECT_EQ(r.link.analog_depth_db, 38.89345281431553);
-    EXPECT_EQ(r.link.total_depth_db, 94.033369223440388);
-    EXPECT_EQ(r.link.sync_correlation, 0.85357813507461267);
-    EXPECT_EQ(r.link.evm_rms, 0.6305160061262769);
+    EXPECT_EQ(r.link.residual_si_over_noise_db, 0.84314192950005595);
+    EXPECT_EQ(r.link.analog_depth_db, 38.893559751851036);
+    EXPECT_EQ(r.link.total_depth_db, 94.012326360541195);
+    EXPECT_EQ(r.link.sync_correlation, 0.86979858309864844);
+    EXPECT_EQ(r.link.evm_rms, 0.62799311065377306);
     EXPECT_EQ(r.tag_energy_pj, 1777.8171599999998);
     EXPECT_EQ(r.effective_throughput_bps, 0.0);
   }
@@ -187,13 +189,13 @@ TEST(TrialWorkspaceTest, PinnedTelemetryExportDigest) {
   }
   const std::string json = obs::to_json(
       root.registry(), {.include_timings = false, .pretty = true});
-  EXPECT_EQ(json.size(), 3647u);
+  EXPECT_EQ(json.size(), 3650u);
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : json) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;
   }
-  EXPECT_EQ(h, 0x530a358a920bb4adULL);
+  EXPECT_EQ(h, 0xde996ab8a9d3d7eeULL);
 }
 
 TEST(TrialWorkspaceTest, ReuseGaugeClimbsOnWarmWorkspace) {
