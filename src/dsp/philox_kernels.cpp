@@ -244,19 +244,12 @@ std::uint64_t to_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 void normal_pair(const round_keys& keys, std::uint64_t c, double& g_cos,
                  double& g_sin) {
-  std::uint32_t x0 = static_cast<std::uint32_t>(c);
-  std::uint32_t x1 = static_cast<std::uint32_t>(c >> 32);
-  std::uint32_t x2 = 0, x3 = 0;
-  for (int r = 0; r < 10; ++r) {
-    const std::uint64_t p0 = std::uint64_t{kMul0} * x0;
-    const std::uint64_t p1 = std::uint64_t{kMul1} * x2;
-    x0 = static_cast<std::uint32_t>(p1 >> 32) ^ x1 ^ keys.k0[r];
-    x1 = static_cast<std::uint32_t>(p1);
-    x2 = static_cast<std::uint32_t>(p0 >> 32) ^ x3 ^ keys.k1[r];
-    x3 = static_cast<std::uint32_t>(p0);
-  }
-  const std::uint64_t w1 = x0 | (std::uint64_t{x1} << 32);
-  const std::uint64_t w2 = x2 | (std::uint64_t{x3} << 32);
+  const auto words = philox4x32_10(
+      {static_cast<std::uint32_t>(c), static_cast<std::uint32_t>(c >> 32), 0u,
+       0u},
+      {keys.k0[0], keys.k1[0]});
+  const std::uint64_t w1 = words[0] | (std::uint64_t{words[1]} << 32);
+  const std::uint64_t w2 = words[2] | (std::uint64_t{words[3]} << 32);
   const double k1 = to_double((w1 >> 12) | kTwoPow52Bits) - kTwoPow52;
   const double k2 = to_double((w2 >> 12) | kTwoPow52Bits) - kTwoPow52;
   const double u1 = (k1 + 0.5) * kTwoPowM52;

@@ -16,18 +16,8 @@ namespace backfi::phy {
 cvec constellation::map(std::span<const std::uint8_t> bits) const {
   if (bits.size() % bits_per_symbol != 0)
     throw std::invalid_argument("constellation::map: bits not a multiple of symbol size");
-  cvec out(bits.size() / bits_per_symbol);
-  map_into(bits, out);
-  return out;
-}
-
-void constellation::map_into(std::span<const std::uint8_t> bits,
-                             std::span<cplx> out) const {
-  if (bits.size() % bits_per_symbol != 0)
-    throw std::invalid_argument("constellation::map: bits not a multiple of symbol size");
   const std::size_t n_sym = bits.size() / bits_per_symbol;
-  if (out.size() != n_sym)
-    throw std::invalid_argument("constellation::map_into: output size mismatch");
+  cvec out(n_sym);
 
   // Label -> point lookup; all built-ins fit the stack table (<= 64-QAM).
   std::array<std::size_t, 64> small_table{};
@@ -45,6 +35,7 @@ void constellation::map_into(std::span<const std::uint8_t> bits,
       label = (label << 1) | (bits[s * bits_per_symbol + b] & 1u);
     out[s] = points[by_label[label]];
   }
+  return out;
 }
 
 std::uint32_t constellation::slice(cplx y) const {

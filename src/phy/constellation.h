@@ -26,10 +26,6 @@ struct constellation {
   /// to complex points.
   cvec map(std::span<const std::uint8_t> bits) const;
 
-  /// As map(), writing into a caller buffer of bits.size()/bits_per_symbol
-  /// points (no per-call allocation for constellations up to 64 points).
-  void map_into(std::span<const std::uint8_t> bits, std::span<cplx> out) const;
-
   /// Nearest-point hard decision; returns the bit label of the winner.
   std::uint32_t slice(cplx y) const;
 

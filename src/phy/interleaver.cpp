@@ -22,16 +22,10 @@ interleaver::interleaver(std::size_t n_cbps, std::size_t n_bpsc) {
 }
 
 bitvec interleaver::interleave(std::span<const std::uint8_t> block) const {
-  bitvec out(block.size());
-  interleave_into(block, out);
-  return out;
-}
-
-void interleaver::interleave_into(std::span<const std::uint8_t> block,
-                                  std::span<std::uint8_t> out) const {
   assert(block.size() == forward_.size());
-  assert(out.size() == forward_.size());
+  bitvec out(block.size());
   for (std::size_t k = 0; k < block.size(); ++k) out[forward_[k]] = block[k];
+  return out;
 }
 
 bitvec interleaver::deinterleave(std::span<const std::uint8_t> block) const {

@@ -22,10 +22,6 @@ class interleaver {
   /// Interleave exactly one block (size must equal block_size()).
   bitvec interleave(std::span<const std::uint8_t> block) const;
 
-  /// As interleave(), writing into a caller buffer of block_size() entries.
-  void interleave_into(std::span<const std::uint8_t> block,
-                       std::span<std::uint8_t> out) const;
-
   /// De-interleave one block of bits.
   bitvec deinterleave(std::span<const std::uint8_t> block) const;
 

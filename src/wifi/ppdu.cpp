@@ -44,17 +44,6 @@ cvec signal_symbol(wifi_rate rate, std::size_t length_bytes) {
   return modulate_symbol(points, /*symbol_index=*/0);
 }
 
-tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config) {
-  return transmit(psdu, config, std::span<const cplx>{});
-}
-
-tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config,
-                 std::span<const cplx> prefix) {
-  tx_ppdu out;
-  transmit_into(psdu, config, prefix, out);
-  return out;
-}
-
 data_plan make_data_plan(wifi_rate rate, std::size_t psdu_bytes,
                          std::uint8_t scrambler_seed) {
   if (psdu_bytes == 0 || psdu_bytes > 4095)
@@ -63,7 +52,6 @@ data_plan make_data_plan(wifi_rate rate, std::size_t psdu_bytes,
   data_plan plan;
   plan.rate = rate;
   plan.psdu_bytes = psdu_bytes;
-  plan.scrambler_seed = scrambler_seed;
   plan.n_data_symbols = data_symbol_count(psdu_bytes, rate);
   // Info bits fed to the convolutional encoder: SERVICE + PSDU + pad; the
   // encoder's own zero tail plays the role of the standard's tail bits.
@@ -174,31 +162,22 @@ void modulate_data(const data_plan& plan, std::span<const std::uint8_t> psdu,
   }
 }
 
-void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
-                   std::span<const cplx> prefix, tx_ppdu& out,
-                   dsp::workspace_stats* stats) {
+tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config) {
   const data_plan plan =
       make_data_plan(config.rate, psdu.size(), config.scrambler_seed);
+  tx_ppdu out;
   out.rate = config.rate;
   out.psdu_bytes = psdu.size();
   out.payload.assign(psdu.begin(), psdu.end());
   out.n_data_symbols = plan.n_data_symbols;
   out.data_start = preamble_samples + symbol_samples;
-
-  dsp::acquire(out.samples, out.data_start + plan.n_data_symbols * symbol_samples,
-               stats);
-  if (prefix.empty()) {
-    const cvec preamble = legacy_preamble();
-    const cvec sig = signal_symbol(config.rate, psdu.size());
-    std::copy(preamble.begin(), preamble.end(), out.samples.begin());
-    std::copy(sig.begin(), sig.end(), out.samples.begin() + preamble.size());
-  } else {
-    if (prefix.size() != preamble_samples + symbol_samples)
-      throw std::invalid_argument("transmit: prefix must be preamble + SIGNAL");
-    std::copy(prefix.begin(), prefix.end(), out.samples.begin());
-  }
+  out.samples = legacy_preamble();
+  const cvec sig = signal_symbol(config.rate, psdu.size());
+  out.samples.insert(out.samples.end(), sig.begin(), sig.end());
+  out.samples.resize(out.data_start + plan.n_data_symbols * symbol_samples);
   modulate_data(plan, psdu,
                 std::span<cplx>(out.samples).subspan(out.data_start));
+  return out;
 }
 
 std::size_t ppdu_length_samples(std::size_t length_bytes, wifi_rate rate) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 #include "phy/bits.h"
 #include "wifi/rates.h"
 
@@ -40,7 +39,6 @@ struct tx_ppdu {
 struct data_plan {
   wifi_rate rate{};
   std::size_t psdu_bytes = 0;
-  std::uint8_t scrambler_seed = 0;
   std::size_t n_data_symbols = 0;
   std::size_t n_info = 0;  ///< SERVICE + PSDU + pad bits (tail excluded)
   /// Scrambler keystream over the n_info bits, packed LSB-first.
@@ -61,8 +59,8 @@ data_plan make_data_plan(wifi_rate rate, std::size_t psdu_bytes,
 /// Modulate the DATA field of `psdu` (exactly plan.psdu_bytes bytes) into
 /// `out` (exactly plan.n_data_symbols * symbol_samples samples): scramble,
 /// encode, puncture, interleave and map on packed bits, then one OFDM
-/// symbol at a time straight into `out`. Bit-identical to the DATA samples
-/// of transmit().
+/// symbol at a time straight into `out`. transmit() builds its DATA field
+/// the same way.
 void modulate_data(const data_plan& plan, std::span<const std::uint8_t> psdu,
                    std::span<cplx> out);
 
@@ -76,21 +74,6 @@ cvec signal_symbol(wifi_rate rate, std::size_t length_bytes);
 /// Assemble a complete PPDU carrying `psdu` at the configured rate.
 /// Maximum PSDU length 4095 bytes (12-bit LENGTH field).
 tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config = {});
-
-/// As transmit(), reusing a prebuilt legacy-preamble + SIGNAL prefix. The
-/// first preamble_samples + symbol_samples output samples depend only on the
-/// rate and PSDU length, so callers issuing many PPDUs of one shape can cache
-/// them; `prefix` must be exactly that sample sequence (empty = build it
-/// here). Output is bit-identical to transmit().
-tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config,
-                 std::span<const cplx> prefix);
-
-/// As the prefix-reusing transmit(), but recycling the caller's tx_ppdu so
-/// repeated transmissions of one PPDU shape reuse the samples/payload
-/// buffers. Every field of `out` is overwritten; bit-identical output.
-void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
-                   std::span<const cplx> prefix, tx_ppdu& out,
-                   dsp::workspace_stats* stats = nullptr);
 
 /// Duration of a PPDU carrying `length_bytes` at `rate`, in samples.
 std::size_t ppdu_length_samples(std::size_t length_bytes, wifi_rate rate);
