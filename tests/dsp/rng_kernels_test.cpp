@@ -1,132 +1,68 @@
-// Equivalence suite for the batched rng draw kernels (rng_kernels.cpp).
+// Equivalence suite for the bulk draw kernels and the caller's dsp::rng.
 //
-// Every fill_* method must consume the xoshiro256++ stream exactly like
-// the equivalent scalar loop and produce bitwise-identical values —
-// including Box-Muller spare carry across calls, the u1 > 0 rejection,
-// odd lengths, unaligned sub-spans, and fork() stream positions. The
-// pinned trial literals in sim/workspace_test.cpp ride on this.
+// A bulk Gaussian fill (dsp/philox.h) must produce bitwise the values an
+// element-at-a-time loop over the same key produces — odd lengths, group
+// boundary straddles and unaligned sub-spans included — and must leave the
+// caller's xoshiro256++ stream exactly one key draw further on. The legacy
+// one-draw-per-bit random_bits positions are pinned here as well. The
+// pinned trial literals in sim/workspace_test.cpp ride on these.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "dsp/philox.h"
 #include "dsp/rng.h"
 
 namespace backfi::dsp {
 namespace {
 
 void expect_same_state(rng& a, rng& b) {
-  // Draw order after the compared region must also agree: equal snapshots
-  // mean equal streams forever.
-  EXPECT_EQ(a.save(), b.save());
+  // Equal draws after the compared region: the bulk call consumed exactly
+  // what the scalar loop did.
   EXPECT_EQ(a.next_u64(), b.next_u64());
   EXPECT_EQ(a.gaussian(), b.gaussian());
 }
 
-TEST(RngKernelsTest, FillU64MatchesScalarLoop) {
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{1000}}) {
-    rng scalar(42), batch(42);
-    std::vector<std::uint64_t> want(n), got(n);
-    for (auto& w : want) w = scalar.next_u64();
-    batch.fill_u64(got);
-    EXPECT_EQ(want, got) << "n=" << n;
-    expect_same_state(scalar, batch);
-  }
-}
-
-TEST(RngKernelsTest, FillUniformMatchesScalarLoop) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{13},
-                              std::size_t{511}, std::size_t{4096}}) {
-    rng scalar(7), batch(7);
-    std::vector<double> want(n), got(n);
-    for (auto& w : want) w = scalar.uniform();
-    batch.fill_uniform(got);
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(want[i], got[i]) << "n=" << n << " i=" << i;
-    expect_same_state(scalar, batch);
-  }
-}
-
 TEST(RngKernelsTest, FillGaussianBitwiseAtOddLengths) {
-  // Odd/even lengths, block-boundary straddles (the kernel stages 256
-  // pairs = 512 values per block), and tiny spans.
+  // Odd/even lengths, straddles of the kernel's multi-group block, and tiny
+  // spans; the scalar loop fills one value per call, so it always takes the
+  // single-group path.
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{511},
         std::size_t{512}, std::size_t{513}, std::size_t{1025}}) {
     rng scalar(101), batch(101);
     std::vector<double> want(n), got(n);
-    for (auto& w : want) w = scalar.gaussian();
-    batch.fill_gaussian(got);
+    const std::uint64_t key = scalar.next_u64();
     for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(want[i], got[i]) << "n=" << n << " i=" << i;
-    expect_same_state(scalar, batch);
-  }
-}
-
-TEST(RngKernelsTest, FillGaussianCarriesSpareAcrossCalls) {
-  // An odd-length fill leaves a spare parked; the next fill must emit it
-  // first, exactly like back-to-back scalar gaussian() calls do.
-  rng scalar(55), batch(55);
-  std::vector<double> want(7 + 4 + 9), got_a(7), got_b(4), got_c(9);
-  for (auto& w : want) w = scalar.gaussian();
-  batch.fill_gaussian(got_a);
-  batch.fill_gaussian(got_b);
-  batch.fill_gaussian(got_c);
-  std::size_t k = 0;
-  for (const double g : got_a) ASSERT_EQ(want[k++], g);
-  for (const double g : got_b) ASSERT_EQ(want[k++], g);
-  for (const double g : got_c) ASSERT_EQ(want[k++], g);
-  expect_same_state(scalar, batch);
-}
-
-TEST(RngKernelsTest, FillGaussianSpareInteroperatesWithScalarCalls) {
-  // Mixing scalar draws and batch fills on one generator must behave as
-  // one continuous scalar stream.
-  rng scalar(91), mixed(91);
-  std::vector<double> want(1 + 6 + 1 + 5);
-  for (auto& w : want) w = scalar.gaussian();
-  std::size_t k = 0;
-  ASSERT_EQ(want[k++], mixed.gaussian());  // parks a spare
-  std::vector<double> got(6);
-  mixed.fill_gaussian(got);  // must emit the spare first
-  for (const double g : got) ASSERT_EQ(want[k++], g);
-  ASSERT_EQ(want[k++], mixed.gaussian());
-  got.resize(5);
-  mixed.fill_gaussian(got);
-  for (const double g : got) ASSERT_EQ(want[k++], g);
-  expect_same_state(scalar, mixed);
-}
-
-TEST(RngKernelsTest, FillComplexGaussianBitwise) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{255},
-                              std::size_t{256}, std::size_t{257},
-                              std::size_t{1000}}) {
-    rng scalar(2026), batch(2026);
-    std::vector<cplx> want(n), got(n);
-    for (auto& w : want) w = scalar.complex_gaussian();
-    batch.fill_complex_gaussian(got);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(want[i].real(), got[i].real()) << "n=" << n << " i=" << i;
-      ASSERT_EQ(want[i].imag(), got[i].imag()) << "n=" << n << " i=" << i;
-    }
+      fill_normals(key, i, std::span(want).subspan(i, 1));
+    fill_normals(batch.next_u64(), 0, got);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+                std::bit_cast<std::uint64_t>(got[i]))
+          << "n=" << n << " i=" << i;
     expect_same_state(scalar, batch);
   }
 }
 
 TEST(RngKernelsTest, FillComplexGaussianUnalignedSubspan) {
-  // Fill into a misaligned offset of a larger buffer: values and the
+  // Add into a misaligned offset of a larger buffer: values and the
   // untouched surroundings must both be exact.
   rng scalar(33), batch(33);
-  std::vector<cplx> buf(64, cplx{-1.0, -2.0});
+  const cplx fill{-1.0, -2.0};
+  std::vector<cplx> buf(64, fill);
   const std::size_t off = 3, n = 37;
-  std::vector<cplx> want(n);
-  for (auto& w : want) w = scalar.complex_gaussian();
-  batch.fill_complex_gaussian(std::span(buf).subspan(off, n));
-  for (std::size_t i = 0; i < off; ++i) ASSERT_EQ(buf[i], (cplx{-1.0, -2.0}));
+  std::vector<cplx> want(n, fill);
+  const std::uint64_t key = scalar.next_u64();
+  for (std::size_t i = 0; i < n; ++i)
+    add_complex_normals(key, i, std::span(want).subspan(i, 1), 1.0);
+  add_complex_normals(batch.next_u64(), 0, std::span(buf).subspan(off, n),
+                      1.0);
+  for (std::size_t i = 0; i < off; ++i) ASSERT_EQ(buf[i], fill);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(want[i], buf[off + i]);
-  for (std::size_t i = off + n; i < buf.size(); ++i)
-    ASSERT_EQ(buf[i], (cplx{-1.0, -2.0}));
+  for (std::size_t i = off + n; i < buf.size(); ++i) ASSERT_EQ(buf[i], fill);
   expect_same_state(scalar, batch);
 }
 
@@ -138,47 +74,15 @@ TEST(RngKernelsTest, AddScaledComplexGaussianMatchesScalarAwgnLoop) {
     std::vector<cplx> want(n), got(n);
     for (std::size_t i = 0; i < n; ++i)
       want[i] = got[i] = cplx{0.25 * static_cast<double>(i), -0.5};
-    for (cplx& v : want) v += amp * scalar.complex_gaussian();
-    batch.add_scaled_complex_gaussian(got, amp);
+    const std::uint64_t key = scalar.next_u64();
+    for (std::size_t i = 0; i < n; ++i)
+      add_complex_normals(key, i, std::span(want).subspan(i, 1), amp);
+    add_complex_normals(batch.next_u64(), 0, got, amp);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(want[i].real(), got[i].real()) << "n=" << n << " i=" << i;
       ASSERT_EQ(want[i].imag(), got[i].imag()) << "n=" << n << " i=" << i;
     }
     expect_same_state(scalar, batch);
-  }
-}
-
-TEST(RngKernelsTest, ForkAfterBatchFillMatchesScalarFork) {
-  // fork() derives the child from the next stream draw, so identical
-  // stream positions after a fill imply identical children.
-  rng scalar(808), batch(808);
-  std::vector<double> want(11), got(11);
-  for (auto& w : want) w = scalar.gaussian();
-  batch.fill_gaussian(got);
-  rng scalar_child = scalar.fork();
-  rng batch_child = batch.fork();
-  for (int i = 0; i < 16; ++i)
-    ASSERT_EQ(scalar_child.next_u64(), batch_child.next_u64());
-  expect_same_state(scalar, batch);
-}
-
-TEST(RngKernelsTest, FillBitsPackedDrawOrder) {
-  // fill_bits draws one u64 per 64 bits, LSB-first — so the reference is
-  // the packed expansion of fill_u64 words, not random_bits (whose legacy
-  // one-draw-per-bit stream positions are pinned separately below).
-  for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
-                              std::size_t{65}, std::size_t{600}}) {
-    rng words(5), batch(5);
-    std::vector<std::uint8_t> got(n);
-    batch.fill_bits(got);
-    std::uint64_t word = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i % 64 == 0) word = words.next_u64();
-      ASSERT_EQ(got[i], static_cast<std::uint8_t>((word >> (i % 64)) & 1u))
-          << "n=" << n << " i=" << i;
-    }
-    // Stream advanced exactly ceil(n/64) draws.
-    expect_same_state(words, batch);
   }
 }
 
@@ -191,22 +95,6 @@ TEST(RngKernelsTest, RandomBitsLegacyStreamPositionsUnchanged) {
   for (std::size_t i = 0; i < 100; ++i)
     EXPECT_EQ(bits[i], static_cast<std::uint8_t>(ref.next_u64() & 1u));
   EXPECT_EQ(gen.next_u64(), ref.next_u64());
-}
-
-TEST(RngKernelsTest, SaveRestoreRoundTrips) {
-  rng gen(12345);
-  (void)gen.gaussian();  // park a spare so the snapshot carries it
-  const rng::state_snapshot snap = gen.save();
-  std::vector<double> first(9), again(9);
-  gen.fill_gaussian(first);
-  const rng::state_snapshot end = gen.save();
-  gen.restore(snap);
-  gen.fill_gaussian(again);
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_EQ(first[i], again[i]);
-  EXPECT_EQ(gen.save(), end);
-  EXPECT_TRUE(snap == snap);
-  EXPECT_FALSE(snap == end);
 }
 
 }  // namespace

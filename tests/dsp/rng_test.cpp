@@ -120,16 +120,5 @@ TEST(RngTest, RandomBitsAreZeroOrOne) {
   EXPECT_LT(ones, 600);
 }
 
-TEST(RngTest, RandomBitsLegacyStreamPositionsUnchanged) {
-  // The legacy method burns one full draw per bit (bit 0 of each draw);
-  // pinned tag payloads depend on those positions. Lock the behaviour.
-  rng gen(31), ref(31);
-  const auto bits = gen.random_bits(100);
-  ASSERT_EQ(bits.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i)
-    EXPECT_EQ(bits[i], static_cast<std::uint8_t>(ref.next_u64() & 1u));
-  EXPECT_EQ(gen.next_u64(), ref.next_u64());
-}
-
 }  // namespace
 }  // namespace backfi::dsp
