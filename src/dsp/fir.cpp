@@ -181,37 +181,6 @@ void convolve_same_subtract_range_into(std::span<const cplx> rx,
   for (std::size_t j = std::max(b, overlap); j < e; ++j) out[j] = rx[j];
 }
 
-double convolve_same_subtract_energy_into(std::span<const cplx> rx,
-                                          std::span<const cplx> x,
-                                          std::span<const cplx> h, cvec& out,
-                                          workspace_stats* stats) {
-  const std::size_t overlap = std::min(rx.size(), x.size());
-  const bool direct = !h.empty() && !x.empty() &&
-                      std::min(x.size(), h.size()) < fft_convolve_min_taps;
-  double eacc;
-  if (direct) {
-    acquire(out, rx.size(), stats);
-    eacc = detail::convolve_same_gather_subtract_energy(
-        x.data(), x.size(), h.data(), h.size(), rx.data(), out.data(), 0,
-        overlap);
-  } else {
-    // Rare paths (empty operands, FFT-length channels): reuse the plain
-    // fused subtract and scan the prefix afterwards.
-    convolve_same_subtract_into(rx, x, h, out, stats);
-    eacc = 0.0;
-    for (std::size_t j = 0; j < overlap; ++j) {
-      const double re = out[j].real(), im = out[j].imag();
-      eacc += re * re + im * im;
-    }
-  }
-  for (std::size_t j = overlap; j < rx.size(); ++j) {
-    out[j] = rx[j];
-    const double re = out[j].real(), im = out[j].imag();
-    eacc += re * re + im * im;
-  }
-  return eacc;
-}
-
 fir_filter::fir_filter(cvec taps) : taps_(std::move(taps)) {
   assert(!taps_.empty());
   history_.assign(taps_.size() - 1, cplx{0.0, 0.0});

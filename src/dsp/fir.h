@@ -79,18 +79,6 @@ void convolve_same_subtract_range_into(std::span<const cplx> rx,
                                        cvec& out,
                                        workspace_stats* stats = nullptr);
 
-/// As convolve_same_subtract_into, additionally returning the residual's
-/// energy sum |out[j]|^2 over the whole output, accumulated in ascending
-/// index order with one norm rounding per element — bit-identical to
-/// calling energy(out) afterwards, fused into the store loop so the output
-/// is not re-read. (The receive chain's AGC needs exactly this energy
-/// right after the analog cancel; the separate rms pass was a full
-/// capture-length read.)
-double convolve_same_subtract_energy_into(std::span<const cplx> rx,
-                                          std::span<const cplx> x,
-                                          std::span<const cplx> h, cvec& out,
-                                          workspace_stats* stats = nullptr);
-
 /// Streaming direct-form FIR filter holding state across process() calls,
 /// used by the digital canceller which filters a packet in segments.
 class fir_filter {

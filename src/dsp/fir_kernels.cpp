@@ -26,28 +26,9 @@ namespace {
 // become -0.0 under round-to-nearest (x + y is -0 only when both operands
 // are -0, and +0 + (+/-0) is +0), and adding the +/-0 products a zero input
 // contributes leaves every finite accumulator value unchanged.
-// When Energy is set, the kernel also accumulates sum |out[j]|^2 across the
-// window, in ascending output order with one norm rounding per element
-// (t = re*re + im*im, then eacc += t) — exactly dsp::energy's sequence over
-// the same values, so the fused accumulation is bit-identical to a separate
-// post-pass. The block bodies extract the norms straight from the output
-// registers (square, in-lane horizontal add, scalar extract) rather than
-// re-reading the stores — an 8-byte reload of a 32-byte store would stall
-// on failed store-forwarding every element — and the short scalar add
-// chain overlaps with the next block's independent convolution work.
-template <bool Subtract, bool Energy>
-double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
-                   const cplx* rx, cplx* outp, std::size_t o0, std::size_t o1) {
-  double eacc = 0.0;
-  // Norms of the two complex outputs in `v`, accumulated in lane order:
-  // v*v gives [re0^2, im0^2, re1^2, im1^2]; hadd pairs them to
-  // [n0, n0, n1, n1] with the single rounded add of the scalar norm.
-  [[maybe_unused]] auto accumulate_pair = [&eacc](__m256d v) {
-    const __m256d sq = _mm256_mul_pd(v, v);
-    const __m256d n = _mm256_hadd_pd(sq, sq);
-    eacc += _mm_cvtsd_f64(_mm256_castpd256_pd128(n));
-    eacc += _mm_cvtsd_f64(_mm256_extractf128_pd(n, 1));
-  };
+template <bool Subtract>
+void gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
+                 const cplx* rx, cplx* outp, std::size_t o0, std::size_t o1) {
   auto scalar_one = [&](std::size_t j) {
     const std::size_t k_hi = std::min(j, nh - 1);
     const std::size_t k_lo = j >= nx ? j - (nx - 1) : 0;
@@ -67,7 +48,6 @@ double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
       vi = acci;
     }
     outp[j - o0] = cplx(vr, vi);
-    if constexpr (Energy) eacc += vr * vr + vi * vi;
   };
   std::size_t j = o0;
   // Left edge: outputs whose k range is clipped by the start of x.
@@ -116,12 +96,6 @@ double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
     _mm256_storeu_pd(ob + 4, acc1);
     _mm256_storeu_pd(ob + 8, acc2);
     _mm256_storeu_pd(ob + 12, acc3);
-    if constexpr (Energy) {
-      accumulate_pair(acc0);
-      accumulate_pair(acc1);
-      accumulate_pair(acc2);
-      accumulate_pair(acc3);
-    }
   }
   for (; j + 4 <= main_end; j += 4) {
     __m256d acc0 = _mm256_setzero_pd();
@@ -147,13 +121,8 @@ double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
     double* ob = reinterpret_cast<double*>(outp + (j - o0));
     _mm256_storeu_pd(ob, acc0);
     _mm256_storeu_pd(ob + 4, acc1);
-    if constexpr (Energy) {
-      accumulate_pair(acc0);
-      accumulate_pair(acc1);
-    }
   }
   for (; j < o1; ++j) scalar_one(j);
-  return eacc;
 }
 
 #else  // !__AVX2__
@@ -185,7 +154,7 @@ void convolve_same_gather(const cplx* x, std::size_t nx, const cplx* h,
   assert(nh >= 1 && o1 <= nx);
   if (o0 >= o1) return;
 #if defined(__AVX2__)
-  gather_avx2<false, false>(x, nx, h, nh, nullptr, out, o0, o1);
+  gather_avx2<false>(x, nx, h, nh, nullptr, out, o0, o1);
 #else
   scatter_range(x, nx, h, nh, out, o0, o1);
 #endif
@@ -198,30 +167,10 @@ void convolve_same_gather_subtract(const cplx* x, std::size_t nx,
   assert(nh >= 1 && o1 <= nx);
   if (o0 >= o1) return;
 #if defined(__AVX2__)
-  gather_avx2<true, false>(x, nx, h, nh, rx, out, o0, o1);
+  gather_avx2<true>(x, nx, h, nh, rx, out, o0, o1);
 #else
   scatter_range(x, nx, h, nh, out, o0, o1);
   for (std::size_t j = o0; j < o1; ++j) out[j - o0] = rx[j] - out[j - o0];
-#endif
-}
-
-double convolve_same_gather_subtract_energy(const cplx* x, std::size_t nx,
-                                            const cplx* h, std::size_t nh,
-                                            const cplx* rx, cplx* out,
-                                            std::size_t o0, std::size_t o1) {
-  assert(nh >= 1 && o1 <= nx);
-  if (o0 >= o1) return 0.0;
-#if defined(__AVX2__)
-  return gather_avx2<true, true>(x, nx, h, nh, rx, out, o0, o1);
-#else
-  scatter_range(x, nx, h, nh, out, o0, o1);
-  double eacc = 0.0;
-  for (std::size_t j = o0; j < o1; ++j) {
-    const cplx v = rx[j] - out[j - o0];
-    out[j - o0] = v;
-    eacc += v.real() * v.real() + v.imag() * v.imag();
-  }
-  return eacc;
 #endif
 }
 

@@ -31,15 +31,4 @@ void convolve_same_gather_subtract(const cplx* x, std::size_t nx,
                                    const cplx* rx, cplx* out, std::size_t o0,
                                    std::size_t o1);
 
-/// As convolve_same_gather_subtract, additionally returning
-/// sum_j |out[j - o0]|^2 accumulated in ascending output order with one
-/// norm rounding per element — bit-identical to running dsp::energy over
-/// the produced window afterwards, without a second read pass. (The AGC
-/// needs the analog residual's energy immediately after the cancel; the
-/// store loop still holds every output in cache.)
-double convolve_same_gather_subtract_energy(const cplx* x, std::size_t nx,
-                                            const cplx* h, std::size_t nh,
-                                            const cplx* rx, cplx* out,
-                                            std::size_t o0, std::size_t o1);
-
 }  // namespace backfi::dsp::detail

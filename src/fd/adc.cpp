@@ -65,33 +65,8 @@ void quantize_range_saturation(const cplx* x, std::size_t begin,
   }
 }
 
-void saturation_scan_range(const cplx* x, std::size_t begin, std::size_t end,
-                           const adc_config& config, unsigned& clipped_any) {
-  const double full_scale = config.full_scale;
-  const double* __restrict in = reinterpret_cast<const double*>(x);
-  // Compare-only sweep: no divide chain, so this vectorizes to pure
-  // compare/or and runs at load bandwidth — the cost of keeping the
-  // saturation flag exact over the skipped regions is a read pass, not a
-  // quantization pass.
-  unsigned any = 0;
-  for (std::size_t i = 2 * begin; i < 2 * end; ++i) {
-    const double v = in[i];
-    any |= static_cast<unsigned>(v < -full_scale) |
-           static_cast<unsigned>(v > full_scale);
-  }
-  clipped_any |= any;
-}
-
 double agc_full_scale(std::span<const cplx> x, double headroom) {
   return std::max(dsp::rms(x) * headroom, 1e-30);
-}
-
-double agc_full_scale_from_energy(double energy, std::size_t n,
-                                  double headroom) {
-  // Same mean -> sqrt -> scale -> clamp sequence as agc_full_scale via
-  // dsp::rms/mean_power, so equal energy bits give equal full-scale bits.
-  const double mean = n > 0 ? energy / static_cast<double>(n) : 0.0;
-  return std::max(std::sqrt(mean) * headroom, 1e-30);
 }
 
 double quantization_noise_power(const adc_config& config) {

@@ -48,25 +48,8 @@ void quantize_range_saturation(const cplx* x, std::size_t begin,
                                std::size_t end, const adc_config& config,
                                cplx* out, unsigned& clipped_any);
 
-/// Saturation scan only: OR the per-axis clip events of x[begin, end) into
-/// `clipped_any` without quantizing — the exact |I|/|Q| > full_scale
-/// predicate of quantize_range_saturation, minus the divide/round/store.
-/// The ROI receive chain uses it to complete the adc_saturated flag over
-/// capture regions whose quantized values nobody reads: OR-ing the scan of
-/// the skipped regions with the quantized regions' flag reproduces the
-/// full-sweep flag bit-for-bit (the reduction is order-independent).
-void saturation_scan_range(const cplx* x, std::size_t begin, std::size_t end,
-                           const adc_config& config, unsigned& clipped_any);
-
 /// Full-scale choice of a simple AGC: `headroom` times the input RMS.
 double agc_full_scale(std::span<const cplx> x, double headroom = 4.0);
-
-/// agc_full_scale from a precomputed energy sum (sum |x[i]|^2 over n
-/// samples). Bit-identical to agc_full_scale(x, headroom) when `energy`
-/// equals dsp::energy(x) to the bit — the receive chain gets that energy
-/// for free from the analog canceller's fused store loop.
-double agc_full_scale_from_energy(double energy, std::size_t n,
-                                  double headroom = 4.0);
 
 /// Quantization noise power of the configuration (per complex sample).
 double quantization_noise_power(const adc_config& config);

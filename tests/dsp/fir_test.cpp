@@ -233,35 +233,5 @@ TEST(FirTest, ConvolveSameSubtractIntoMatchesMaterializedSubtract) {
   }
 }
 
-TEST(FirTest, ConvolveSameSubtractEnergyMatchesSeparatePasses) {
-  // The fused energy accumulation must be bit-identical to running
-  // dsp::energy over the output afterwards — the receive chain's AGC full
-  // scale (and so every digitized bit downstream) hangs off these bits.
-  for (const std::size_t taps :
-       {std::size_t{1}, std::size_t{6}, std::size_t{8}, std::size_t{15},
-        fft_convolve_min_taps + 3}) {
-    for (const std::size_t nx : {std::size_t{5}, std::size_t{37},
-                                 std::size_t{400}, std::size_t{1033}}) {
-      const cvec x = window_vec(nx, 150 + taps + nx);
-      const cvec rx = window_vec(nx + 20, 151 + taps + nx);  // plain tail
-      const cvec h = window_vec(taps, 152 + taps + nx);
-      cvec reference;
-      convolve_same_subtract_into(rx, x, h, reference);
-      cvec out;
-      const double fused = convolve_same_subtract_energy_into(rx, x, h, out);
-      ASSERT_EQ(out.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i)
-        ASSERT_EQ(out[i], reference[i]) << taps << "x" << nx << " @" << i;
-      ASSERT_EQ(fused, energy(out)) << taps << "x" << nx;
-    }
-  }
-  // Degenerate operands follow convolve_same_subtract_into's copy path.
-  const cvec rx = window_vec(64, 153);
-  cvec out;
-  EXPECT_EQ(convolve_same_subtract_energy_into(rx, {}, {}, out), energy(rx));
-  ASSERT_EQ(out.size(), rx.size());
-  for (std::size_t i = 0; i < rx.size(); ++i) ASSERT_EQ(out[i], rx[i]);
-}
-
 }  // namespace
 }  // namespace backfi::dsp

@@ -53,8 +53,8 @@ TEST(AdaptivePerTest, FixedTargetRunsExactlyMaxTrialsAndMatchesFixedApi) {
   EXPECT_EQ(e.trials_run, 24);
   EXPECT_FALSE(e.early_stopped);
   EXPECT_EQ(e.per, packet_error_rate(c, 24));
-  EXPECT_EQ(e.per, 0.375);  // the PR 2 pinned anchor
-  EXPECT_EQ(e.failures, 9);
+  EXPECT_EQ(e.per, 10.0 / 24.0);  // the pinned 4.5 m anchor
+  EXPECT_EQ(e.failures, 10);
 }
 
 TEST(AdaptivePerTest, ZeroMaxTrialsReturnsEmptyEstimate) {

@@ -119,15 +119,17 @@ TEST(ParallelDeterminismTest, PacketErrorRateBitIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(per1, per2);
   EXPECT_EQ(per1, per4);
-  // Pre-change serial output (9 of 24 packets failed at 4.5 m).
-  EXPECT_EQ(per1, 0.375);
+  // Serial anchor since the silent-window AGC: 10 of 24 packets fail at
+  // 4.5 m.
+  EXPECT_EQ(per1, 10.0 / 24.0);
 }
 
 TEST(ParallelDeterminismTest, PacketErrorRateMatchesPreChangeSerialAnchor) {
   scoped_thread_count threads(4);
   const double per = packet_error_rate(anchor_scenario(4.0), 24);
-  // Pre-change serial output: exactly 2 of 24 packets failed at 4.0 m.
-  EXPECT_EQ(per, 2.0 / 24.0);
+  // Serial anchor since the silent-window AGC: exactly 3 of 24 packets
+  // fail at 4.0 m.
+  EXPECT_EQ(per, 3.0 / 24.0);
 }
 
 TEST(ParallelDeterminismTest, ClientThroughputBitIdenticalAcrossThreadCounts) {

@@ -87,8 +87,8 @@ TEST(SeedStabilityTest, PinnedAnchorsHoldAtEightThreads) {
   // scheduler that mis-partitions lanes at higher thread counts would
   // surface here first.
   scoped_thread_count threads(8);
-  EXPECT_EQ(packet_error_rate(anchor_scenario(4.5), 24), 0.375);
-  EXPECT_EQ(packet_error_rate(anchor_scenario(4.0), 24), 2.0 / 24.0);
+  EXPECT_EQ(packet_error_rate(anchor_scenario(4.5), 24), 10.0 / 24.0);
+  EXPECT_EQ(packet_error_rate(anchor_scenario(4.0), 24), 3.0 / 24.0);
   coexistence_config c;
   c.seed = 5;
   c.ap_client_distance_m = 8.0;

