@@ -1,5 +1,6 @@
 #include "channel/awgn.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "channel/pathloss.h"
@@ -9,9 +10,21 @@
 namespace backfi::channel {
 
 void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen) {
+  const dsp::sample_range all{0, x.size()};
+  add_awgn(x, noise_power, gen, std::span(&all, 1));
+}
+
+void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen,
+              std::span<const dsp::sample_range> ranges) {
   // Documented contract: non-positive power consumes zero draws.
   if (noise_power <= 0.0 || x.empty()) return;
-  dsp::add_complex_normals(gen.next_u64(), 0, x, std::sqrt(noise_power));
+  const std::uint64_t key = gen.next_u64();
+  const double amp = std::sqrt(noise_power);
+  for (const dsp::sample_range& r : ranges) {
+    const std::size_t end = std::min(r.end, x.size());
+    const std::size_t begin = std::min(r.begin, end);
+    dsp::add_complex_normals(key, begin, x.subspan(begin, end - begin), amp);
+  }
 }
 
 double normalized_noise_power(double tx_power_dbm, double bandwidth_hz,

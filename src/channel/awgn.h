@@ -27,6 +27,15 @@ namespace backfi::channel {
 /// noise is a pure function of (key, sample index).
 void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen);
 
+/// As add_awgn, adding noise only to the samples in `ranges` (disjoint
+/// [begin, end) windows, clamped to len(x)); samples outside them are left
+/// untouched. It takes the same single key, under the same zero-draw rule
+/// (noise_power <= 0 or empty x), whatever the ranges are, and sample i of
+/// a range receives complex normal i of that key — exactly the value a
+/// full add_awgn gives it.
+void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen,
+              std::span<const dsp::sample_range> ranges);
+
 /// Noise power normalized to the transmit power reference: the receiver's
 /// thermal floor (kTB * NF) divided by the transmit power.
 double normalized_noise_power(double tx_power_dbm, double bandwidth_hz,

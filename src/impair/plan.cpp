@@ -38,6 +38,10 @@ bool impairment_plan::any_post_cancellation() const {
          stage_failure.leakage_db > -200.0;
 }
 
+bool impairment_plan::any_at_antenna() const {
+  return saturation.bursts_per_ms > 0.0 || interferer.bursts_per_ms > 0.0;
+}
+
 void impairment_plan::apply_at_antenna(std::span<cplx> rx) const {
   if (interferer.bursts_per_ms > 0.0) {
     dsp::rng gen = stream(seed, 1);

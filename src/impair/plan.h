@@ -46,6 +46,10 @@ struct impairment_plan {
   /// processing.
   bool any_post_cancellation() const;
 
+  /// Any antenna-domain injector active (apply_at_antenna writes the raw
+  /// receive buffer)?
+  bool any_at_antenna() const;
+
   /// Antenna-domain faults on the reader's raw receive buffer (the
   /// interferer and ADC-slamming blockers arrive through the air; the RF
   /// canceller cannot subtract them because they are tx-uncorrelated).

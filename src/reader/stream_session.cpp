@@ -83,6 +83,7 @@ stream_session::stream_session(std::span<const cplx> x,
   // segment, so its presence forces the full-capture chain. A caller who
   // pre-set chain.roi keeps it (their contract with their own consumer).
   roi_active_ = config_.restrict_to_roi && !config_.post_cancel_hook;
+  preset_roi_ = config_.chain.roi;
 
   results_.resize(schedule_.size());
   for (std::size_t i = 0; i < results_.size(); ++i) results_[i].index = i;
@@ -153,6 +154,24 @@ void stream_session::produce(std::size_t index) {
     std::this_thread::yield();
 }
 
+dsp::sample_range stream_session::packet_roi(const stream_packet& p) const {
+  if (!roi_active_) return preset_roi_;
+  return decoder_->read_window_bounds(p.end - p.begin, p.wake_end - p.begin,
+                                      p.payload_bits);
+}
+
+fd::chain_ranges stream_session::read_ranges(std::size_t index) const {
+  const stream_packet& p = schedule_.at(index);
+  fd::chain_ranges reads = fd::chain_read_ranges(
+      config_.chain, packet_roi(p), p.end - p.begin, p.wake_end - p.begin,
+      p.silent_end - p.begin);
+  for (dsp::sample_range& r : reads.ranges) {
+    r.begin += p.begin;
+    r.end += p.begin;
+  }
+  return reads;
+}
+
 void stream_session::cancel_segment(std::size_t index) {
   const stream_packet& p = schedule_[index];
   const std::size_t len = p.end - p.begin;
@@ -170,11 +189,9 @@ void stream_session::cancel_segment(std::size_t index) {
   seg.t_feed_ns = t_feed_ns_[index];
 
   // Per-packet ROI: the decoder's exact read window for this segment. Only
-  // this stage's thread touches config_.chain from here on, so the
-  // mutation is race-free in both threading modes.
-  if (roi_active_)
-    config_.chain.roi = decoder_->read_window_bounds(
-        len, p.wake_end - p.begin, p.payload_bits);
+  // this stage's thread writes config_.chain.roi from here on (read_ranges
+  // never reads it), so the mutation is race-free in both threading modes.
+  config_.chain.roi = packet_roi(p);
 
   seg.chain = fd::run_receive_chain(xseg, yseg, p.wake_end - p.begin,
                                     p.silent_end - p.begin, config_.chain,

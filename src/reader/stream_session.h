@@ -171,9 +171,19 @@ class stream_session {
   const std::vector<stream_packet_result>& results() const { return results_; }
   const stream_stats& stats() const { return stats_; }
 
+  /// The y samples packet `index`'s cancellation stage reads, in capture
+  /// coordinates: fd::chain_read_ranges for the roi the session gives that
+  /// packet (its decoder read window while ROI shrinking is active),
+  /// offset by the packet's begin. The decoder reads only the cleaned
+  /// segment, so a producer that synthesizes just these samples before
+  /// feeding them feeds the session every y sample it reads.
+  fd::chain_ranges read_ranges(std::size_t index) const;
+
  private:
   struct segment;  // cancelled packet in flight between the stages
 
+  /// The chain roi packet `p` runs with (segment coordinates).
+  dsp::sample_range packet_roi(const stream_packet& p) const;
   void push_ready_packets();
   void produce(std::size_t index);        // capture -> cancellation stage
   void cancel_segment(std::size_t index); // cancellation + segmentation
@@ -205,6 +215,8 @@ class stream_session {
   /// by the cancellation stage (worker thread in 2-thread mode, which also
   /// owns config_.chain.roi from then on).
   bool roi_active_ = false;
+  /// The caller's chain.roi, used as is while ROI shrinking is off.
+  dsp::sample_range preset_roi_;
 
   /// Feed-time stamp per packet, written by the producer in produce()
   /// before the ring push (whose release store publishes it to the

@@ -81,8 +81,9 @@ void tag_device::backscatter_into(std::span<const std::uint8_t> payload,
   // Info bits: payload + CRC-32; coded at the configured rate.
   out.info_bits.assign(payload.begin(), payload.end());
   phy::append_crc32(out.info_bits);
-  const phy::bitvec mother = phy::conv_encode(out.info_bits);
-  phy::bitvec coded = phy::puncture(mother, config_.rate.coding);
+  out.coded_bits =
+      phy::puncture(phy::conv_encode(out.info_bits), config_.rate.coding);
+  phy::bitvec& coded = out.coded_bits;
   const std::size_t bps = modulator.bits_per_symbol();
   while (coded.size() % bps != 0) coded.push_back(0);  // pad to symbol boundary
 

@@ -45,6 +45,9 @@ struct tag_transmission {
   std::size_t samples_per_symbol = 0;
   std::size_t n_payload_symbols = 0;
   phy::bitvec info_bits;              ///< payload + CRC as encoded
+  /// Coded, punctured bits padded to a whole symbol: the labels the
+  /// payload symbols carry, bps bits each in order.
+  phy::bitvec coded_bits;
   double energy_pj = 0.0;             ///< EPB model x information bits
   std::uint64_t switch_toggles = 0;   ///< from the switch-tree model
 };

@@ -61,6 +61,36 @@ TEST(AwgnTest, PositivePowerTakesOneKeyDraw) {
   }
 }
 
+TEST(AwgnTest, RangedNoiseMatchesFullFillInsideRanges) {
+  // Same key, same per-sample values as a full fill inside the ranges
+  // (odd offsets, a gap, one range past the end), untouched outside, and
+  // the stream advances by the one key draw whatever the ranges are.
+  const std::size_t n = 27440;
+  const dsp::sample_range ranges[] = {{0, 0}, {3, 3712}, {5001, 5003},
+                                      {27000, 40000}};
+  dsp::rng full_gen(0xBEEFu), ranged_gen(0xBEEFu);
+  cvec full(n, cplx{0.5, -0.25});
+  cvec ranged(n, cplx{0.5, -0.25});
+  add_awgn(full, 0.04, full_gen);
+  add_awgn(ranged, 0.04, ranged_gen, ranges);
+  EXPECT_EQ(full_gen.next_u64(), ranged_gen.next_u64());
+  for (std::size_t i = 0; i < n; ++i) {
+    bool inside = false;
+    for (const dsp::sample_range& r : ranges)
+      inside = inside || (i >= r.begin && i < r.end);
+    ASSERT_EQ(ranged[i], inside ? full[i] : cplx(0.5, -0.25)) << i;
+  }
+  // Zero power: no draw, no write, whatever the ranges.
+  dsp::rng quiet(7), reference(7);
+  add_awgn(ranged, 0.0, quiet, ranges);
+  EXPECT_EQ(quiet.next_u64(), reference.next_u64());
+  // Empty ranges still take the key, so later draws do not depend on them.
+  dsp::rng empty_gen(9), key_gen(9);
+  add_awgn(ranged, 0.04, empty_gen, {});
+  key_gen.next_u64();
+  EXPECT_EQ(empty_gen.next_u64(), key_gen.next_u64());
+}
+
 TEST(AwgnTest, NoiseIsAdditive) {
   dsp::rng gen_a(3), gen_b(3);
   cvec zeros(64, cplx{0.0, 0.0});
