@@ -17,8 +17,11 @@
 // diffs that file against the committed baseline in CI and fails on a >25%
 // regression of serial trials/sec.
 //
-// Exit code: non-zero when the parallel PER diverges from serial or the
-// output file cannot be written, so CI catches determinism bugs here too.
+// Exit code: non-zero when the parallel PER diverges from serial, when a
+// fault-free trial synthesizes received samples outside the silent window
+// ∪ decoder read window its receive chain processes, or when the output
+// file cannot be written, so CI catches determinism and ranged-synthesis
+// bugs here too.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -199,6 +202,17 @@ int main(int argc, char** argv) {
   std::printf("roi:       processed=%.0f  skipped=%.0f  coverage=%.1f%% of "
               "capture\n",
               roi_processed, roi_skipped, roi_coverage * 100.0);
+  // The trial synthesizes the received signal only where the chain reads
+  // it, so on this fault-free scenario the synthesized count must equal
+  // the chain's processed count: a larger one means samples nobody reads
+  // are being synthesized again.
+  const double rx_synthesized = gauge("runtime.sim.rx_samples_synthesized");
+  const bool synthesis_in_roi =
+      roi_processed > 0.0 && rx_synthesized == roi_processed;
+  std::printf("synthesis: rx samples synthesized=%.0f  within silent+roi: "
+              "%s\n",
+              rx_synthesized,
+              synthesis_in_roi ? "yes" : "NO — RANGED SYNTHESIS REGRESSED");
 
   // FIR least-squares size dispatch (process-wide, cumulative): the
   // scenario's 5-8-tap fits over long windows should all land on the
@@ -347,6 +361,7 @@ int main(int argc, char** argv) {
   append_kv(json, "samples_processed", roi_processed);
   append_kv(json, "samples_skipped", roi_skipped);
   append_kv(json, "coverage", roi_coverage);
+  append_kv(json, "rx_samples_synthesized", rx_synthesized);
   append_kv(json, "stream_samples_processed",
             static_cast<double>(sr.stats.roi_samples_processed));
   append_kv(json, "stream_samples_skipped",
@@ -397,5 +412,5 @@ int main(int argc, char** argv) {
 
   const bool wrote = obs::write_file(out_path, json);
   std::printf("%s %s\n", wrote ? "wrote" : "FAILED to write", out_path.c_str());
-  return (identical && stream_identical && wrote) ? 0 : 1;
+  return (identical && stream_identical && synthesis_in_roi && wrote) ? 0 : 1;
 }

@@ -23,7 +23,9 @@
 //   5. the payload bits,
 //   6. the AWGN over the packet-plus-gap chunk: one next_u64() that keys
 //      the counter-based noise generator (channel/awgn.h), whatever the
-//      chunk length.
+//      chunk length. (The one-packet batch trial fills only the samples
+//      its receive chain reads, with the ranged add_awgn: still one key,
+//      and each filled sample gets the value a full fill would give it.)
 // The capture therefore depends only on (config, seed) — never on how the
 // stream is later chunked or decoded — and the decoded bit-stream is
 // bit-identical at 1 and 2 threads and to the per-packet batch reference

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "channel/awgn.h"
 #include "channel/multipath.h"
 #include "dsp/math_util.h"
@@ -45,6 +47,25 @@ TEST(AnalogCancellerTest, AchievesTensOfDbButIsQuantizationLimited) {
   // Finite coefficient resolution keeps the analog stage well short of the
   // ~60 dB a full-precision filter would reach here.
   EXPECT_LT(depth, 55.0);
+}
+
+TEST(AnalogCancellerTest, RangedCancelMatchesFullCancelAndReadsOnlyRanges) {
+  const si_scenario s = make_scenario(2);
+  analog_canceller analog({.n_taps = 6, .coefficient_bits = 7});
+  analog.adapt(std::span(s.tx).first(320), std::span(s.rx).first(320));
+  const cvec full = analog.cancel(s.tx, s.rx);
+  // rx outside the ranges is NaN: the ranged cancel must not read it.
+  const dsp::sample_range ranges[] = {{0, 5}, {320, 1001}, {1500, 1501}};
+  cvec rx(s.rx.size(), cplx{std::nan(""), std::nan("")});
+  for (const dsp::sample_range& r : ranges)
+    std::copy(s.rx.begin() + r.begin, s.rx.begin() + r.end,
+              rx.begin() + r.begin);
+  cvec out;
+  analog.cancel_ranges_into(s.tx, rx, out, ranges);
+  ASSERT_EQ(out.size(), full.size());
+  for (const dsp::sample_range& r : ranges)
+    for (std::size_t i = r.begin; i < r.end; ++i)
+      ASSERT_EQ(out[i], full[i]) << i;
 }
 
 TEST(DigitalCancellerTest, CancelsToNearNoiseFloor) {
