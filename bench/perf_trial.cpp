@@ -19,9 +19,10 @@
 //
 // Exit code: non-zero when the parallel PER diverges from serial, when a
 // fault-free trial synthesizes received samples outside the silent window
-// ∪ decoder read window its receive chain processes, or when the output
-// file cannot be written, so CI catches determinism and ranged-synthesis
-// bugs here too.
+// ∪ decoder read window its receive chain processes, when it modulates half
+// or more of the excitation's OFDM DATA symbols, or when the output file
+// cannot be written, so CI catches determinism and ranged-synthesis bugs
+// here too.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,6 +39,7 @@
 #include "sim/parallel.h"
 #include "sim/scheduler.h"
 #include "sim/stream_sim.h"
+#include "wifi/rates.h"
 
 namespace {
 
@@ -214,6 +216,21 @@ int main(int argc, char** argv) {
               rx_synthesized,
               synthesis_in_roi ? "yes" : "NO — RANGED SYNTHESIS REGRESSED");
 
+  // Likewise the excitation: the trial modulates only the OFDM DATA
+  // symbols it reads (about 15% of them here). Half or more means the
+  // ranged excitation silently fell back to a full build.
+  const sim::scenario_config mid = fig08_mid();
+  const double data_symbols = static_cast<double>(
+      wifi::data_symbol_count(mid.excitation.ppdu_bytes, mid.excitation.rate) *
+      std::max<std::size_t>(mid.excitation.n_ppdus, 1));
+  const double symbols_modulated =
+      gauge("runtime.reader.excitation_symbols_modulated");
+  const bool excitation_ranged =
+      symbols_modulated > 0.0 && 2.0 * symbols_modulated < data_symbols;
+  std::printf("excitation: DATA symbols modulated=%.0f of %.0f  ranged: %s\n",
+              symbols_modulated, data_symbols,
+              excitation_ranged ? "yes" : "NO — RANGED EXCITATION REGRESSED");
+
   // FIR least-squares size dispatch (process-wide, cumulative): the
   // scenario's 5-8-tap fits over long windows should all land on the
   // bit-exact vectorized build (correlation form is reserved for >=12-tap
@@ -362,6 +379,7 @@ int main(int argc, char** argv) {
   append_kv(json, "samples_skipped", roi_skipped);
   append_kv(json, "coverage", roi_coverage);
   append_kv(json, "rx_samples_synthesized", rx_synthesized);
+  append_kv(json, "excitation_symbols_modulated", symbols_modulated);
   append_kv(json, "stream_samples_processed",
             static_cast<double>(sr.stats.roi_samples_processed));
   append_kv(json, "stream_samples_skipped",
@@ -412,5 +430,8 @@ int main(int argc, char** argv) {
 
   const bool wrote = obs::write_file(out_path, json);
   std::printf("%s %s\n", wrote ? "wrote" : "FAILED to write", out_path.c_str());
-  return (identical && stream_identical && synthesis_in_roi && wrote) ? 0 : 1;
+  return (identical && stream_identical && synthesis_in_roi &&
+          excitation_ranged && wrote)
+             ? 0
+             : 1;
 }

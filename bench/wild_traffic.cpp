@@ -154,7 +154,7 @@ void bm_rs_block_roundtrip(benchmark::State& state) {
   constexpr std::size_t k = 8, symbol_bytes = 4;
   dsp::rng gen(3);
   std::vector<std::uint8_t> block(k * symbol_bytes);
-  for (auto& b : block) b = static_cast<std::uint8_t>(gen.uniform_int(256));
+  gen.uniform_bytes(block);
   for (auto _ : state) {
     // Encode the systematic row plus 4 repair symbols, then decode from
     // the repair tail plus half the prefix: the erasure-heavy path

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dsp/types.h"
@@ -50,6 +51,20 @@ class rng {
 
   /// Uniform integer in [0, n).
   std::uint64_t uniform_int(std::uint64_t n);
+
+  /// Fill `out` with uniform bytes: the same draws, in the same order, as
+  /// `b = uniform_int(256)` per byte (the rejection limit is the constant
+  /// UINT64_MAX - UINT64_MAX % 256), without its two 64-bit divisions.
+  void uniform_bytes(std::span<std::uint8_t> out) {
+    constexpr std::uint64_t limit = UINT64_MAX - 255;
+    for (std::uint8_t& b : out) {
+      std::uint64_t draw;
+      do {
+        draw = next_u64();
+      } while (draw >= limit);
+      b = static_cast<std::uint8_t>(draw & 0xFFu);
+    }
+  }
 
   /// Standard normal N(0, 1).
   double gaussian();

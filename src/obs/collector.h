@@ -82,18 +82,31 @@ inline void observe(collector* c, probe p, double value) {
 }
 
 /// RAII wall-time span: records "timing.<name>" [s] on destruction. With a
-/// null collector neither clock is read — disabled spans are free.
+/// null collector neither clock is read — disabled spans are free. A stage
+/// that runs in two parts pauses the span in between: the one recorded
+/// sample is the sum of the running intervals.
 class timing_span {
  public:
   timing_span(collector* c, std::string_view name) : collector_(c), name_(name) {
     if (collector_) start_ = std::chrono::steady_clock::now();
   }
+  /// Stop the clock without recording (idempotent); resume() restarts it.
+  void pause() {
+    if (!collector_ || paused_) return;
+    elapsed_ += std::chrono::steady_clock::now() - start_;
+    paused_ = true;
+  }
+  void resume() {
+    if (!collector_ || !paused_) return;
+    start_ = std::chrono::steady_clock::now();
+    paused_ = false;
+  }
   /// Record the span now instead of at destruction (idempotent).
   void stop() {
     if (!collector_) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
+    pause();
     collector_->record_timing(
-        name_, std::chrono::duration<double>(elapsed).count());
+        name_, std::chrono::duration<double>(elapsed_).count());
     collector_ = nullptr;
   }
   ~timing_span() { stop(); }
@@ -104,6 +117,8 @@ class timing_span {
   collector* collector_;
   std::string_view name_;
   std::chrono::steady_clock::time_point start_;
+  std::chrono::steady_clock::duration elapsed_{};
+  bool paused_ = false;
 };
 
 /// Deterministic fan-out: one child collector per parallel index, merged

@@ -86,6 +86,13 @@ excitation build_excitation(const excitation_config& config) {
 
 void build_excitation_into(const excitation_config& config, excitation& out,
                            dsp::workspace_stats* stats) {
+  prepare_excitation_into(config, out, stats);
+  const dsp::sample_range all{0, out.samples.size()};
+  modulate_excitation_into(config, std::span(&all, 1), out);
+}
+
+void prepare_excitation_into(const excitation_config& config, excitation& out,
+                             dsp::workspace_stats* stats) {
   const prefix_entry& pre = prefix_for(config);
   const wifi::data_plan& plan = pre.plan;
 
@@ -102,25 +109,48 @@ void build_excitation_into(const excitation_config& config, excitation& out,
   out.ppdu.n_data_symbols = plan.n_data_symbols;
   out.ppdu.data_start = pre.ppdu_prefix.size();
 
-  // PPDU i draws its payload from rng(payload_seed + i), as
-  // wifi::random_ppdu does, and is written in place: cached prefix, then
-  // the DATA symbols straight from the plan.
-  const std::size_t n_ppdus = std::max<std::size_t>(config.n_ppdus, 1);
+  const std::size_t ppdu_samples =
+      pre.ppdu_prefix.size() + plan.n_data_symbols * wifi::symbol_samples;
+  for (std::size_t i = 0; i < std::max<std::size_t>(config.n_ppdus, 1); ++i)
+    std::copy(pre.ppdu_prefix.begin(), pre.ppdu_prefix.end(),
+              out.samples.begin() +
+                  static_cast<std::ptrdiff_t>(out.ppdu_start + i * ppdu_samples));
+}
+
+std::size_t modulate_excitation_into(const excitation_config& config,
+                                     std::span<const dsp::sample_range> ranges,
+                                     excitation& out) {
+  const wifi::data_plan& plan = prefix_for(config).plan;
   const std::size_t data_samples = plan.n_data_symbols * wifi::symbol_samples;
+  const std::size_t ppdu_samples = out.ppdu.data_start + data_samples;
   thread_local std::vector<std::uint8_t> psdu_scratch;
+  thread_local std::vector<dsp::sample_range> symbols;
   std::span<cplx> samples(out.samples);
-  std::size_t offset = out.ppdu_start;
-  for (std::size_t i = 0; i < n_ppdus; ++i) {
+  std::size_t modulated = 0;
+  for (std::size_t i = 0; i < std::max<std::size_t>(config.n_ppdus, 1); ++i) {
+    // The DATA symbols of PPDU i that overlap a range.
+    const std::size_t data_begin =
+        out.ppdu_start + i * ppdu_samples + out.ppdu.data_start;
+    const std::size_t data_end = data_begin + data_samples;
+    symbols.clear();
+    for (const dsp::sample_range& r : ranges) {
+      const std::size_t lo = std::max(r.begin, data_begin);
+      const std::size_t hi = std::min(r.end, data_end);
+      if (lo < hi)
+        symbols.push_back({(lo - data_begin) / wifi::symbol_samples,
+                           (hi - data_begin + wifi::symbol_samples - 1) /
+                               wifi::symbol_samples});
+    }
+    if (i > 0 && symbols.empty()) continue;
     std::vector<std::uint8_t>& psdu = (i == 0) ? out.ppdu.payload : psdu_scratch;
     psdu.resize(config.ppdu_bytes);
-    dsp::rng gen(config.payload_seed + i);
-    for (auto& b : psdu) b = static_cast<std::uint8_t>(gen.uniform_int(256));
-    std::copy(pre.ppdu_prefix.begin(), pre.ppdu_prefix.end(),
-              samples.begin() + static_cast<std::ptrdiff_t>(offset));
-    offset += pre.ppdu_prefix.size();
-    wifi::modulate_data(plan, psdu, samples.subspan(offset, data_samples));
-    offset += data_samples;
+    dsp::rng(config.payload_seed + i).uniform_bytes(psdu);
+    if (symbols.empty()) continue;
+    modulated += wifi::modulate_data(plan, psdu,
+                                     samples.subspan(data_begin, data_samples),
+                                     symbols);
   }
+  return modulated;
 }
 
 std::size_t excitation_length(const excitation_config& config) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "dsp/types.h"
 #include "dsp/workspace.h"
@@ -27,7 +28,11 @@ struct excitation_config {
 
 /// The assembled excitation waveform.
 struct excitation {
-  cvec samples;             ///< wake pulses followed by the PPDU
+  /// Wake pulses followed by n_ppdus PPDUs. After a ranged build
+  /// (modulate_excitation_into) only the wake pulses, every PPDU's legacy
+  /// preamble + SIGNAL symbol and the DATA symbols overlapping the ranges
+  /// are written; the other DATA samples keep stale contents.
+  cvec samples;
   std::size_t ppdu_start = 0;
   std::size_t wake_end = 0; ///< nominal tag time origin
   /// PPDU 0's rate, length, layout and payload. Its samples are not
@@ -47,9 +52,30 @@ excitation build_excitation(const excitation_config& config);
 
 /// As build_excitation(), recycling the caller's excitation buffers across
 /// calls (one per worker thread). Every field of `out` is overwritten;
-/// bit-identical output.
+/// bit-identical output. Equivalent to prepare_excitation_into() followed
+/// by modulate_excitation_into() over [0, excitation_length(config)).
 void build_excitation_into(const excitation_config& config, excitation& out,
                            dsp::workspace_stats* stats = nullptr);
+
+/// First half of a build: size `out`, set its layout fields and wake
+/// preamble, and write every sample that does not depend on the payload —
+/// the wake pulses and each PPDU's legacy preamble + SIGNAL symbol. The
+/// payload and the DATA symbols are left to modulate_excitation_into().
+void prepare_excitation_into(const excitation_config& config, excitation& out,
+                             dsp::workspace_stats* stats = nullptr);
+
+/// Second half, on an `out` prepared for the same config: draw each PPDU's
+/// payload (PPDU i from rng(payload_seed + i)), scramble and encode it
+/// whole, and modulate only its DATA symbols that overlap `ranges`
+/// (excitation sample indices, in any order). Every sample written is
+/// bit-identical to a full build; DATA samples outside the ranges keep
+/// stale contents. PPDU 0's payload is always drawn, so out.ppdu.payload
+/// is complete; a later PPDU no range touches skips its draw (each PPDU
+/// has its own generator, so no other draw moves). Returns the number of
+/// DATA symbols modulated.
+std::size_t modulate_excitation_into(const excitation_config& config,
+                                     std::span<const dsp::sample_range> ranges,
+                                     excitation& out);
 
 /// Duration [samples] of an excitation with the given parameters.
 std::size_t excitation_length(const excitation_config& config);

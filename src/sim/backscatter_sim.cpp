@@ -1,6 +1,7 @@
 #include "sim/backscatter_sim.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -156,13 +157,18 @@ trial_result run_backscatter_trial(const scenario_config& config,
   // Stage spans below close the probe gap between sim.trial and the
   // fd/reader spans: every contiguous region of the trial body has its own
   // top-level timing span, so the stage means sum to the trial mean.
+  //
+  // The excitation is built in two halves. The payload-independent samples
+  // (wake pulses, each PPDU's preamble + SIGNAL) come first: the tag wakes
+  // on them. The payload's DATA symbols follow once the trial knows which
+  // samples it reads (below). One paused span times both halves.
   obs::timing_span excitation_span(c, "reader.excitation");
   reader::excitation_config ex_cfg = config.excitation;
   ex_cfg.tag_id = config.tag.id;
   ex_cfg.payload_seed = gen.next_u64();
-  reader::build_excitation_into(ex_cfg, ws.ex, &ws.stats);
+  reader::prepare_excitation_into(ex_cfg, ws.ex, &ws.stats);
   const reader::excitation& ex = ws.ex;
-  excitation_span.stop();
+  excitation_span.pause();
 
   obs::timing_span forward_span(c, "channel.forward");
   const auto channels =
@@ -170,7 +176,9 @@ trial_result run_backscatter_trial(const scenario_config& config,
 
   // --- Tag side: wake detection on the incident signal ---
   // Only the wake window of the incident signal is synthesized here; the
-  // backscatter synthesis below adds what the received samples need.
+  // backscatter synthesis below adds what the received samples need. The
+  // wake window ends 4 us into PPDU 0's preamble, so it reads only
+  // prepared samples.
   const std::size_t n = ex.samples.size();
   const std::size_t wake_window =
       std::min<std::size_t>((ex_cfg.wake_bits + 4) * samples_per_us, n);
@@ -284,6 +292,41 @@ trial_result run_backscatter_trial(const scenario_config& config,
   } else {
     reads = session.read_ranges(0);
   }
+
+  // --- The excitation samples the trial reads ---
+  // x is read inside each rx read range plus the longest causal history
+  // that reaches back from it: h_env for the leakage, h_f then h_b for the
+  // incident signal feeding the reflection, and the analog and digital
+  // cancellers' taps (the decoder's estimator history lies inside its read
+  // window). The oracle reads the tag's data window plus len(h_f * h_b) - 1
+  // samples of history, and a post-cancellation fault reads all of x. Only
+  // the DATA symbols overlapping these ranges are modulated; a full rx read
+  // gives a full x. (The wake window, read above, lies in the prepared
+  // prefix.)
+  const auto reach = [](std::size_t taps) { return taps > 0 ? taps - 1 : 0; };
+  const std::size_t fb_history =
+      reach(channels.h_f.size()) + reach(channels.h_b.size());
+  const std::size_t x_history = std::max(
+      {reach(channels.h_env.size()), fb_history,
+       reach(stream_cfg.chain.analog.n_taps),
+       reach(stream_cfg.chain.digital.n_taps)});
+  const auto widened = [](std::size_t begin, std::size_t end,
+                          std::size_t history) {
+    return dsp::sample_range{begin > history ? begin - history : 0, end};
+  };
+  std::array<dsp::sample_range, 4> x_reads{};
+  std::size_t x_count = 0;
+  for (const dsp::sample_range& r : reads.span())
+    x_reads[x_count++] = widened(r.begin, r.end, x_history);
+  x_reads[x_count++] = widened(tag_tx.data_start, tag_tx.data_end, fb_history);
+  if (faults.any_post_cancellation()) x_reads[x_count++] = {0, n};
+  excitation_span.resume();
+  const std::size_t symbols_modulated = reader::modulate_excitation_into(
+      ex_cfg, std::span(x_reads.data(), x_count), ws.ex);
+  excitation_span.stop();
+  if (c != nullptr)
+    c->set_gauge("runtime.reader.excitation_symbols_modulated",
+                 static_cast<double>(symbols_modulated));
   obs::timing_span backscatter_span(c, "channel.backscatter");
   dsp::acquire(ws.reflected, n, &ws.stats);
   const std::size_t history = channels.h_b.size() - 1;

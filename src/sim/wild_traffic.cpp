@@ -27,7 +27,7 @@ std::vector<std::uint8_t> source_block(const phy::erasure_spec& spec,
                                        std::uint32_t block) {
   dsp::rng gen(derive_trial_seed(arm_seed, 1u << 20) + block);
   std::vector<std::uint8_t> data(spec.block_symbols * spec.symbol_bytes);
-  for (auto& b : data) b = static_cast<std::uint8_t>(gen.uniform_int(256));
+  gen.uniform_bytes(data);
   return data;
 }
 

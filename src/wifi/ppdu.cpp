@@ -122,8 +122,10 @@ void map_symbol(const std::uint8_t* mother, const data_plan& plan,
 
 }  // namespace
 
-void modulate_data(const data_plan& plan, std::span<const std::uint8_t> psdu,
-                   std::span<cplx> out) {
+std::size_t modulate_data(const data_plan& plan,
+                          std::span<const std::uint8_t> psdu,
+                          std::span<cplx> out,
+                          std::span<const dsp::sample_range> symbols) {
   if (psdu.size() != plan.psdu_bytes)
     throw std::invalid_argument("modulate_data: PSDU length differs from plan");
   if (out.size() != plan.n_data_symbols * symbol_samples)
@@ -132,23 +134,37 @@ void modulate_data(const data_plan& plan, std::span<const std::uint8_t> psdu,
 
   // Packed LSB-first info bits: SERVICE (two zero bytes), the PSDU bytes
   // verbatim, zero pad — scrambled by one XOR per byte — then encoded a
-  // byte at a time and expanded to one byte per mother bit.
+  // byte at a time into packed mother bits.
   thread_local std::vector<std::uint8_t> info;
   thread_local std::vector<std::uint64_t> mother;
-  thread_local std::vector<std::uint8_t> mother_bits;
+  thread_local std::vector<std::uint8_t> selected;
   thread_local cvec freq_scratch;
   info.assign(plan.keystream.size(), 0);
   std::copy(psdu.begin(), psdu.end(), info.begin() + 2);
   for (std::size_t i = 0; i < info.size(); ++i) info[i] ^= plan.keystream[i];
   mother.resize(phy::conv_packed_words(plan.n_info));
   phy::conv_encode_packed(info, plan.n_info, mother);
-  mother_bits.resize(64 * mother.size());
-  unpack_bits(mother, mother_bits.data());
 
+  selected.assign(plan.n_data_symbols, 0);
+  for (const dsp::sample_range& r : symbols) {
+    const std::size_t end = std::min(r.end, plan.n_data_symbols);
+    for (std::size_t s = r.begin; s < end; ++s) selected[s] = 1;
+  }
+
+  // Each selected symbol expands only the words holding its 2 * n_dbps
+  // mother bits (at most 432 bits, so 8 words) to one byte per bit.
+  std::array<std::uint8_t, 64 * 8> mother_bits;
   std::array<cplx, n_data_subcarriers> points;
   const std::size_t mother_per_symbol = 2 * p.n_dbps;
+  std::size_t written = 0;
   for (std::size_t s = 0; s < plan.n_data_symbols; ++s) {
-    const std::uint8_t* m = mother_bits.data() + s * mother_per_symbol;
+    if (!selected[s]) continue;
+    const std::size_t first_bit = s * mother_per_symbol;
+    const std::size_t w0 = first_bit / 64;
+    const std::size_t w1 = (first_bit + mother_per_symbol + 63) / 64;
+    unpack_bits(std::span<const std::uint64_t>(mother).subspan(w0, w1 - w0),
+                mother_bits.data());
+    const std::uint8_t* m = mother_bits.data() + (first_bit - 64 * w0);
     switch (p.n_bpsc) {
       case 1: map_symbol<1>(m, plan, points); break;
       case 2: map_symbol<2>(m, plan, points); break;
@@ -159,7 +175,16 @@ void modulate_data(const data_plan& plan, std::span<const std::uint8_t> psdu,
     modulate_symbol_into(points, s + 1,  // SIGNAL was index 0
                          out.subspan(s * symbol_samples, symbol_samples),
                          freq_scratch);
+    ++written;
   }
+  return written;
+}
+
+std::size_t modulate_data(const data_plan& plan,
+                          std::span<const std::uint8_t> psdu,
+                          std::span<cplx> out) {
+  const dsp::sample_range all{0, plan.n_data_symbols};
+  return modulate_data(plan, psdu, out, std::span(&all, 1));
 }
 
 tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config) {
@@ -189,7 +214,7 @@ tx_ppdu random_ppdu(std::size_t length_bytes, const tx_config& config,
                     std::uint64_t seed) {
   dsp::rng gen(seed);
   std::vector<std::uint8_t> psdu(length_bytes);
-  for (auto& b : psdu) b = static_cast<std::uint8_t>(gen.uniform_int(256));
+  gen.uniform_bytes(psdu);
   return transmit(psdu, config);
 }
 

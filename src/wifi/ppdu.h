@@ -60,9 +60,21 @@ data_plan make_data_plan(wifi_rate rate, std::size_t psdu_bytes,
 /// `out` (exactly plan.n_data_symbols * symbol_samples samples): scramble,
 /// encode, puncture, interleave and map on packed bits, then one OFDM
 /// symbol at a time straight into `out`. transmit() builds its DATA field
-/// the same way.
-void modulate_data(const data_plan& plan, std::span<const std::uint8_t> psdu,
-                   std::span<cplx> out);
+/// the same way. Returns the number of symbols written.
+///
+/// With `symbols` — [begin, end) ranges of DATA-symbol indices, in any
+/// order, overlaps allowed, clamped to plan.n_data_symbols — only the
+/// symbols inside them are unpacked, mapped and transformed; the rest of
+/// `out` is not touched. The scramble and the encode still run over the
+/// whole PSDU (the encoder is sequential), so every symbol written is
+/// bit-identical to the full build. Without `symbols`, every symbol.
+std::size_t modulate_data(const data_plan& plan,
+                          std::span<const std::uint8_t> psdu,
+                          std::span<cplx> out,
+                          std::span<const dsp::sample_range> symbols);
+std::size_t modulate_data(const data_plan& plan,
+                          std::span<const std::uint8_t> psdu,
+                          std::span<cplx> out);
 
 /// Build the 18 SIGNAL-field information bits (RATE, reserved, LENGTH,
 /// parity) for a given rate and PSDU length.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace backfi::dsp {
 namespace {
@@ -46,6 +48,24 @@ TEST(RngTest, UniformIntCoversRangeWithoutBias) {
   for (int c : counts) {
     EXPECT_GT(c, n / 10 - n / 50);
     EXPECT_LT(c, n / 10 + n / 50);
+  }
+}
+
+TEST(RngTest, UniformBytesMatchesUniformIntLoopAndStreamPosition) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (std::size_t n = 65; n < 4096; n += 97) lengths.push_back(n);
+  lengths.insert(lengths.end(), {1500, 4000, 4095, 4096});
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (const std::size_t n : lengths) {
+      rng a(seed * 0x9e3779b97f4a7c15ULL + n), b = a;
+      std::vector<std::uint8_t> expected(n), got(n, 0xA5);
+      for (auto& v : expected) v = static_cast<std::uint8_t>(a.uniform_int(256));
+      b.uniform_bytes(got);
+      ASSERT_EQ(got, expected) << "seed " << seed << ", " << n << " bytes";
+      ASSERT_EQ(b.next_u64(), a.next_u64())
+          << "seed " << seed << ", " << n << " bytes";
+    }
   }
 }
 

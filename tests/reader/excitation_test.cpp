@@ -1,10 +1,15 @@
 #include "reader/excitation.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "dsp/vec_ops.h"
 #include "phy/prbs.h"
+#include "wifi/ofdm.h"
 
 namespace backfi::reader {
 namespace {
@@ -132,6 +137,76 @@ TEST(ExcitationTest, PrefixCacheRespondsToEveryKeyField) {
   ASSERT_EQ(again.samples.size(), ref.samples.size());
   for (std::size_t i = 0; i < ref.samples.size(); ++i)
     ASSERT_EQ(again.samples[i], ref.samples[i]) << i;
+}
+
+// A ranged build (prepare + modulate over a few sample ranges) into a
+// NaN-poisoned buffer: every DATA symbol overlapping a range, the wake
+// pulses and every PPDU prefix equal the full build; every other DATA
+// symbol stays poisoned; PPDU 0's payload is complete either way.
+TEST(ExcitationTest, RangedBuildMatchesFullBuildInsideRanges) {
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  using ranges = std::vector<dsp::sample_range>;
+  for (const std::size_t n_ppdus : {1u, 4u}) {
+    excitation_config cfg;
+    cfg.tag_id = 2;
+    cfg.ppdu_bytes = 600;
+    cfg.payload_seed = 5;
+    cfg.n_ppdus = n_ppdus;
+    const excitation full = build_excitation(cfg);
+    const std::size_t ppdu_len = wifi::ppdu_length_samples(cfg.ppdu_bytes, cfg.rate);
+    const std::size_t data0 = full.ppdu_start + full.ppdu.data_start;
+    std::vector<ranges> cases = {
+        {},                             // nothing but the prefixes
+        {{data0 + 250, data0 + 700}},   // partial symbols at both ends
+    };
+    if (n_ppdus == 4) {
+      // PPDU 1's tail into PPDU 2's first DATA symbol, unsorted, with PPDU 0
+      // and PPDU 3 untouched.
+      const std::size_t p2 = full.ppdu_start + 2 * ppdu_len;
+      cases.push_back({{p2 + full.ppdu.data_start, p2 + full.ppdu.data_start + 1},
+                       {p2 - 100, p2 + 50}});
+    }
+    for (const ranges& rs : cases) {
+      excitation out;
+      out.samples.assign(full.samples.size(), cplx{nan, nan});
+      prepare_excitation_into(cfg, out);
+      const std::size_t modulated = modulate_excitation_into(cfg, rs, out);
+      ASSERT_EQ(out.samples.size(), full.samples.size());
+      EXPECT_EQ(out.ppdu.payload, full.ppdu.payload);
+      EXPECT_EQ(out.ppdu.payload.size(), cfg.ppdu_bytes);
+      EXPECT_EQ(out.wake_end, full.wake_end);
+      EXPECT_EQ(out.ppdu_start, full.ppdu_start);
+      EXPECT_EQ(out.ppdu.data_start, full.ppdu.data_start);
+      EXPECT_EQ(out.ppdu.n_data_symbols, full.ppdu.n_data_symbols);
+      for (std::size_t i = 0; i < full.wake_end; ++i)
+        ASSERT_EQ(out.samples[i], full.samples[i]) << i;
+      std::size_t expected_modulated = 0;
+      for (std::size_t p = 0; p < n_ppdus; ++p) {
+        const std::size_t begin = full.ppdu_start + p * ppdu_len;
+        const std::size_t data = begin + full.ppdu.data_start;
+        for (std::size_t i = begin; i < data; ++i)
+          ASSERT_EQ(out.samples[i], full.samples[i]) << "prefix " << p << " @" << i;
+        for (std::size_t s = 0; s < full.ppdu.n_data_symbols; ++s) {
+          const std::size_t lo = data + s * wifi::symbol_samples;
+          const std::size_t hi = lo + wifi::symbol_samples;
+          bool touched = false;
+          for (const dsp::sample_range& r : rs)
+            touched = touched || (r.begin < hi && lo < r.end);
+          expected_modulated += touched ? 1 : 0;
+          for (std::size_t i = lo; i < hi; ++i) {
+            if (touched) {
+              ASSERT_EQ(out.samples[i], full.samples[i])
+                  << n_ppdus << " PPDUs, PPDU " << p << " @" << i;
+            } else {
+              ASSERT_TRUE(std::isnan(out.samples[i].real()))
+                  << n_ppdus << " PPDUs, PPDU " << p << " @" << i;
+            }
+          }
+        }
+      }
+      EXPECT_EQ(modulated, expected_modulated);
+    }
+  }
 }
 
 }  // namespace

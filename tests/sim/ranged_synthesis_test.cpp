@@ -1,10 +1,13 @@
 // Ranged capture synthesis: run_backscatter_trial synthesizes the received
 // signal only over the samples its one-packet session reads (silent window
-// ∪ the decoder's read window on the fault-free path). These tests pin
+// ∪ the decoder's read window on the fault-free path), and modulates the
+// excitation's DATA symbols only where that synthesis, the chain and the
+// oracle read them. These tests pin
 // every trial_result field against a full-synthesis reference built from
-// public calls — every rx sample synthesized, then the same session — over
-// the fig08 range × preamble grid, every fault class, and with the
-// unsynthesized samples of the trial's buffers poisoned to NaN.
+// public calls — the full excitation, every rx sample synthesized, then
+// the same session — over the fig08 range × preamble grid, every fault
+// class, and with the unsynthesized samples of the trial's buffers (the
+// unmodulated excitation samples too) poisoned to NaN.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -227,9 +230,10 @@ TEST(RangedSynthesisTest, FaultClassesMatchFullSynthesisReference) {
   }
 }
 
-// Every trial buffer poisoned to NaN before the trial: the trial must
-// rewrite whatever it reads, and the capture samples it leaves NaN are
-// exactly the ones outside silent ∪ read window.
+// Every trial buffer poisoned to NaN before the trial, the excitation
+// included: the trial must rewrite whatever it reads, the capture samples
+// it leaves NaN are exactly the ones outside silent ∪ read window, and
+// most of the excitation's DATA samples stay unmodulated.
 TEST(RangedSynthesisTest, UnsynthesizedSamplesArePoisonProof) {
   constexpr double nan = std::numeric_limits<double>::quiet_NaN();
   for (const double d : {0.5, 2.0, 5.0, 7.0}) {
@@ -237,8 +241,8 @@ TEST(RangedSynthesisTest, UnsynthesizedSamplesArePoisonProof) {
       const scenario_config cfg = fig08_point(d, 32, kRates[0], seed);
       trial_workspace ws;
       run_backscatter_trial(cfg, ws);  // sizes every buffer for this shape
-      for (cvec* buffer : {&ws.rx, &ws.incident, &ws.reflected,
-                           &ws.backscatter})
+      for (cvec* buffer : {&ws.ex.samples, &ws.rx, &ws.incident,
+                           &ws.reflected, &ws.backscatter})
         std::fill(buffer->begin(), buffer->end(), cplx{nan, nan});
       const std::string what =
           std::to_string(d) + " m, seed " + std::to_string(seed);
@@ -264,8 +268,39 @@ TEST(RangedSynthesisTest, UnsynthesizedSamplesArePoisonProof) {
       }
       EXPECT_GT(unread, n / 2) << what;
       EXPECT_EQ(still_nan, unread) << what;
+      std::size_t excitation_nan = 0;
+      for (const cplx& v : ws.ex.samples)
+        excitation_nan += std::isnan(v.real()) ? 1 : 0;
+      EXPECT_GT(excitation_nan, n / 2) << what;
     }
   }
+}
+
+// The oracle reads the tag's data window. A late tag (wide jitter) and a
+// decoder that searches no timing offsets push that window past the
+// decoder's read window: those excitation samples must still be modulated.
+TEST(RangedSynthesisTest, OracleWindowPastReadWindowIsPoisonProof) {
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  std::size_t past_read_window = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    scenario_config cfg = fig08_point(2.0, 32, kRates[0], seed);
+    cfg.tag_jitter_samples = 160;
+    cfg.decoder.timing_search = 0;
+    trial_workspace ws;
+    run_backscatter_trial(cfg, ws);
+    for (cvec* buffer : {&ws.ex.samples, &ws.rx, &ws.incident,
+                         &ws.reflected, &ws.backscatter})
+      std::fill(buffer->begin(), buffer->end(), cplx{nan, nan});
+    const std::string what = "seed " + std::to_string(seed);
+    const trial_result poisoned = run_backscatter_trial(cfg, ws);
+    expect_same_trial(poisoned, reference_trial(cfg, true), what);
+    if (!poisoned.woke) continue;
+    const reader::backfi_decoder decoder(cfg.tag, cfg.decoder);
+    const dsp::sample_range roi = decoder.read_window_bounds(
+        ws.rx.size(), ws.ex.wake_end, cfg.payload_bits);
+    past_read_window += ws.tag_tx.data_end > roi.end + 80 ? 1 : 0;
+  }
+  EXPECT_GT(past_read_window, 3u);
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
+
+#include "dsp/rng.h"
 #include "dsp/vec_ops.h"
 #include "wifi/ofdm.h"
 #include "wifi/preamble.h"
@@ -72,6 +78,50 @@ TEST(PpduTest, DifferentPayloadsGiveDifferentWaveforms) {
   for (std::size_t i = a.data_start; i < a.samples.size(); ++i)
     diff += std::abs(a.samples[i] - b.samples[i]);
   EXPECT_GT(diff, 1.0);
+}
+
+TEST(PpduTest, RangedModulateDataMatchesFullBuildOnSelectedSymbols) {
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  dsp::rng gen(21);
+  std::vector<std::uint8_t> psdu(700);
+  gen.uniform_bytes(psdu);
+  for (const rate_params& p : all_rates()) {
+    const data_plan plan = make_data_plan(p.rate, psdu.size());
+    const std::size_t n = plan.n_data_symbols;
+    ASSERT_GE(n, 6u) << p.name;
+    cvec full(n * symbol_samples);
+    ASSERT_EQ(modulate_data(plan, psdu, full), n) << p.name;
+
+    using ranges = std::vector<dsp::sample_range>;
+    const std::pair<const char*, ranges> cases[] = {
+        {"empty", {}},
+        {"first only", {{0, 1}}},
+        {"last only", {{n - 1, n}}},
+        {"disjoint", {{n - 3, n - 1}, {1, 3}}},
+        {"all", {{0, n}}},
+    };
+    for (const auto& [name, symbols] : cases) {
+      std::vector<std::uint8_t> selected(n, 0);
+      for (const dsp::sample_range& r : symbols)
+        for (std::size_t s = r.begin; s < r.end; ++s) selected[s] = 1;
+      cvec out(full.size(), cplx{nan, nan});
+      const std::size_t written = modulate_data(plan, psdu, out, symbols);
+      std::size_t expected_written = 0;
+      for (std::size_t s = 0; s < n; ++s) {
+        expected_written += selected[s];
+        for (std::size_t i = s * symbol_samples; i < (s + 1) * symbol_samples;
+             ++i) {
+          if (selected[s]) {
+            ASSERT_EQ(out[i], full[i]) << p.name << ", " << name << " @" << i;
+          } else {
+            ASSERT_TRUE(std::isnan(out[i].real()) && std::isnan(out[i].imag()))
+                << p.name << ", " << name << " @" << i;
+          }
+        }
+      }
+      EXPECT_EQ(written, expected_written) << p.name << ", " << name;
+    }
+  }
 }
 
 }  // namespace
