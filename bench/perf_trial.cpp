@@ -9,6 +9,11 @@
 //   threads=4   a fresh-seed trial batch through the Monte-Carlo pool
 //   determinism the serial and threads=4 PER must be bit-identical
 //
+// A streaming section then times a 32-packet drifting capture through
+// reader::stream_session at 1 and 2 threads twice over: with the capture
+// synthesis inside the clock (stream.packets_per_sec_*) and reader-only,
+// the capture built untimed (stream.reader_packets_per_sec_*).
+//
 // Both timed legs run without a collector, so scaling_efficiency_4t
 // compares like with like. One further untimed-for-throughput serial rep
 // runs with a collector and supplies the per-stage timing means plus the
@@ -320,11 +325,53 @@ int main(int argc, char** argv) {
       if (stream_1t.packets[i].payload != stream_2t.packets[i].payload)
         stream_identical = false;
   }
+  // Reader-only streaming: the same drifting capture, built by
+  // sim::build_stream_capture outside the clock, so the timed part is the
+  // stream_session alone (receive chain + decoder, no synthesis) — the
+  // reader's own packet rate. No collector, like the timed batch legs.
+  auto reader_rep = [&](std::size_t threads, std::vector<double>& walls,
+                        int reps) {
+    sim::stream_scenario_config cfg = stream_cfg;
+    cfg.scenario.collector = nullptr;
+    cfg.threads = threads;
+    reader::stream_config scfg;
+    scfg.tag = cfg.scenario.tag;
+    scfg.decoder = cfg.scenario.decoder;
+    scfg.chain = cfg.scenario.chain;
+    scfg.threads = threads;
+    scfg.queue_capacity = cfg.queue_capacity;
+    scfg.overflow = cfg.overflow;
+    for (int r = 0; r < reps; ++r) {
+      cfg.scenario.seed = next_stream_seed++;
+      const sim::stream_capture cap = sim::build_stream_capture(cfg);
+      const auto t0 = std::chrono::steady_clock::now();
+      reader::stream_session session(cap.x, cap.y, cap.schedule, scfg);
+      for (std::size_t fed = 0; fed < cap.y.size();
+           fed += cfg.feed_chunk_samples)
+        session.feed(std::min(cfg.feed_chunk_samples, cap.y.size() - fed));
+      session.finish();
+      walls.push_back(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count());
+    }
+  };
+  std::vector<double> reader_walls_1t;
+  std::vector<double> reader_walls_2t;
+  reader_rep(1, reader_walls_1t, kReps);
+  reader_rep(2, reader_walls_2t, kReps);
+  const double reader_pps_1t =
+      stream_cfg.n_packets / bench::median(reader_walls_1t);
+  const double reader_pps_2t =
+      stream_cfg.n_packets / bench::median(reader_walls_2t);
+
   const sim::stream_trial_result& sr = stream_2t;
   std::printf("stream:    %5.1f pkt/sec 1t  %5.1f pkt/sec 2t  (32-pkt "
               "drifting capture, crc %zu/32, bit-identical: %s)\n",
               stream_pps_1t, stream_pps_2t, sr.crc_ok,
               stream_identical ? "yes" : "NO — DETERMINISM BUG");
+  std::printf("stream reader-only: %5.1f pkt/sec 1t  %5.1f pkt/sec 2t  "
+              "(capture built untimed)\n",
+              reader_pps_1t, reader_pps_2t);
   std::printf("stream 2t: cancel %.0f us/pkt  decode %.0f us/pkt  latency "
               "max %.0f us  queue high-water %zu\n",
               sr.stats.cancel_us_total / stream_cfg.n_packets,
@@ -394,6 +441,8 @@ int main(int argc, char** argv) {
   append_kv(json, "packets", static_cast<double>(stream_cfg.n_packets));
   append_kv(json, "packets_per_sec_1t", stream_pps_1t);
   append_kv(json, "packets_per_sec_2t", stream_pps_2t);
+  append_kv(json, "reader_packets_per_sec_1t", reader_pps_1t);
+  append_kv(json, "reader_packets_per_sec_2t", reader_pps_2t);
   append_kv(json, "crc_ok", static_cast<double>(sr.crc_ok));
   append_kv(json, "cancel_us_per_packet",
             sr.stats.cancel_us_total / stream_cfg.n_packets);

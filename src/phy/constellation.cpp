@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -55,23 +53,25 @@ bitvec constellation::demap_hard(std::span<const cplx> symbols) const {
   return out;
 }
 
+namespace {
+
+// Max-log: LLR_b = (min over points with bit=1 of d^2 - min with bit=0) / var,
+// positive favouring bit 0. Every demap spelling lands in this one kernel.
+void demap_into(const constellation& c, const cplx* symbols,
+                std::size_t n_symbols, double noise_var, double* out) {
+  if (c.bits_per_symbol > detail::kMaxDemapBits)
+    throw std::invalid_argument("constellation: labels wider than 32 bits");
+  detail::demap_max_log(c.points.data(), c.labels.data(), c.points.size(),
+                        c.bits_per_symbol, symbols, n_symbols,
+                        1.0 / std::max(noise_var, 1e-30), out);
+}
+
+}  // namespace
+
 void constellation::demap_llr(cplx y, double noise_var,
                               std::vector<double>& out) const {
-  out.assign(bits_per_symbol, 0.0);
-  const double inv_var = 1.0 / std::max(noise_var, 1e-30);
-  // Max-log: LLR_b = (min over points with bit=1 of d^2 - min with bit=0) / var.
-  std::vector<double> min0(bits_per_symbol, std::numeric_limits<double>::infinity());
-  std::vector<double> min1(bits_per_symbol, std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const double d = std::norm(y - points[i]);
-    for (std::size_t b = 0; b < bits_per_symbol; ++b) {
-      const bool bit = ((labels[i] >> (bits_per_symbol - 1 - b)) & 1u) != 0;
-      auto& slot = bit ? min1[b] : min0[b];
-      slot = std::min(slot, d);
-    }
-  }
-  for (std::size_t b = 0; b < bits_per_symbol; ++b)
-    out[b] = (min1[b] - min0[b]) * inv_var;  // positive favours bit 0
+  out.resize(bits_per_symbol);
+  demap_into(*this, &y, 1, noise_var, out.data());
 }
 
 std::vector<double> constellation::demap_llr_stream(std::span<const cplx> symbols,
@@ -85,41 +85,7 @@ void constellation::demap_llr_stream_into(std::span<const cplx> symbols,
                                           double noise_var,
                                           std::vector<double>& out) const {
   out.resize(symbols.size() * bits_per_symbol);
-  if (bits_per_symbol > 8) {
-    // No built-in constellation is this wide; keep the per-symbol path for
-    // exotic user-defined ones rather than capping the stack minima.
-    std::vector<double> per_symbol;
-    double* w = out.data();
-    for (const cplx& y : symbols) {
-      demap_llr(y, noise_var, per_symbol);
-      std::copy(per_symbol.begin(), per_symbol.end(), w);
-      w += bits_per_symbol;
-    }
-    return;
-  }
-  // Same max-log arithmetic as demap_llr, with the per-bit minima on the
-  // stack and LLRs written straight into the presized output — the
-  // per-symbol vector churn dominated the demap stage on long payloads.
-  const double inv_var = 1.0 / std::max(noise_var, 1e-30);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  double* w = out.data();
-  for (const cplx& y : symbols) {
-    std::array<double, 8> min0;
-    std::array<double, 8> min1;
-    min0.fill(kInf);
-    min1.fill(kInf);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const double d = std::norm(y - points[i]);
-      for (std::size_t b = 0; b < bits_per_symbol; ++b) {
-        const bool bit = ((labels[i] >> (bits_per_symbol - 1 - b)) & 1u) != 0;
-        auto& slot = bit ? min1[b] : min0[b];
-        slot = std::min(slot, d);
-      }
-    }
-    for (std::size_t b = 0; b < bits_per_symbol; ++b)
-      w[b] = (min1[b] - min0[b]) * inv_var;  // positive favours bit 0
-    w += bits_per_symbol;
-  }
+  demap_into(*this, symbols.data(), symbols.size(), noise_var, out.data());
 }
 
 double constellation::mean_energy() const {

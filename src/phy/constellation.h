@@ -34,7 +34,8 @@ struct constellation {
 
   /// Max-log LLRs for one received point: one value per bit, MSB first.
   /// Positive = bit 0 more likely; `noise_var` is E|n|^2 of the effective
-  /// complex noise.
+  /// complex noise. All demap spellings give bit-identical values; labels
+  /// wider than 32 bits throw std::invalid_argument.
   void demap_llr(cplx y, double noise_var, std::vector<double>& out) const;
 
   /// Max-log LLRs for a symbol stream (bits_per_symbol values per symbol).
@@ -42,8 +43,7 @@ struct constellation {
                                        double noise_var) const;
 
   /// As demap_llr_stream, writing into a reusable caller buffer (resized;
-  /// identical values, and allocation-free once warm for constellations up
-  /// to 8 bits per symbol — the decoder hot path).
+  /// identical values, allocation-free once warm — the decoder hot path).
   void demap_llr_stream_into(std::span<const cplx> symbols, double noise_var,
                              std::vector<double>& out) const;
 

@@ -1,5 +1,6 @@
 #include "phy/convolutional.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <limits>
@@ -200,14 +201,17 @@ void depuncture_into(std::span<const double> soft, code_rate rate,
   const auto pattern = puncture_pattern(rate);
   out.resize(mother_length);
   std::size_t consumed = 0;
-  for (std::size_t i = 0; i < mother_length; ++i) {
-    if (pattern[i % pattern.size()]) {
+  // `k` walks the pattern period alongside i (a per-bit `i % period`
+  // division cost more than the copy itself).
+  for (std::size_t i = 0, k = 0; i < mother_length; ++i) {
+    if (pattern[k]) {
       if (consumed >= soft.size())
         throw std::invalid_argument("depuncture: soft stream too short");
       out[i] = soft[consumed++];
     } else {
       out[i] = 0.0;  // erasure: no information about this mother bit
     }
+    if (++k == pattern.size()) k = 0;
   }
   if (consumed != soft.size())
     throw std::invalid_argument("depuncture: soft stream too long");
@@ -220,11 +224,14 @@ bitvec viterbi_decode(std::span<const double> soft, std::size_t n_info,
     throw std::invalid_argument("viterbi_decode: soft stream too short");
 
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> metric(kStates, kNegInf);
+  alignas(32) double metric_rows[2][kStates];
+  double* metric = metric_rows[0];
+  double* next_metric = metric_rows[1];
+  std::fill(metric, metric + kStates, kNegInf);
   metric[0] = 0.0;
-  // Survivor bits, one row of kStates entries per step.
-  std::vector<std::uint8_t> survivor_input(n_steps * kStates);
-  std::vector<std::uint8_t> survivor_prev(n_steps * kStates);
+  // One 64-bit survivor decision word per step (bit ns: state ns kept its
+  // second predecessor).
+  std::vector<std::uint64_t> decisions(n_steps);
 
   // Gather form of the scatter update, one kernel call per step: next state
   // ns has exactly two predecessors 2*(ns & 31) and 2*(ns & 31) + 1, both
@@ -233,31 +240,30 @@ bitvec viterbi_decode(std::span<const double> soft, std::size_t n_info,
   // second predecessor only on strict improvement, matching the original
   // first-writer-wins tie break; -inf propagates through the sums, so an
   // unreachable predecessor never beats a reachable one and fully
-  // unreachable states keep -inf. Their survivor entries are now written
-  // too, but traceback starts at state 0 (finite metric, trellis is
-  // terminated) and only ever follows winners, so decoded output is
-  // unchanged. The AVX2 body lives in viterbi_kernels.cpp (per-TU flags,
-  // contraction off) and is bit-identical to the scalar fallback there.
-  std::vector<double> next_metric(kStates);
+  // unreachable states keep -inf. Their decisions are recorded too, but
+  // traceback starts at state 0 (finite metric, trellis is terminated) and
+  // only ever follows winners, so decoded output is unchanged. The AVX2
+  // body lives in viterbi_kernels.cpp (per-TU flags, contraction off) and
+  // is bit-identical to the scalar fallback there.
   for (std::size_t step = 0; step < n_steps; ++step) {
     const double s0 = soft[2 * step];      // positive favours coded bit 0
     const double s1 = soft[2 * step + 1];
     const int max_input = (step < n_info) ? 2 : 1;  // tail forces zeros
-    const std::size_t row = step * kStates;
-    detail::viterbi_acs_step(metric.data(), s0, s1, max_input,
-                             next_metric.data(), survivor_input.data() + row,
-                             survivor_prev.data() + row);
-    metric.swap(next_metric);
+    decisions[step] =
+        detail::viterbi_acs_step(metric, s0, s1, max_input, next_metric);
+    std::swap(metric, next_metric);
   }
 
   if (final_metric) *final_metric = metric[0];
 
-  // Trace back from the zero state (trellis was terminated).
+  // Trace back from the zero state (trellis was terminated): state s was
+  // entered with input bit s >> 5 from predecessor 2*(s & 31) + decision.
   bitvec decoded(n_steps);
-  int state = 0;
+  std::uint32_t state = 0;
   for (std::size_t step = n_steps; step-- > 0;) {
-    decoded[step] = survivor_input[step * kStates + state];
-    state = survivor_prev[step * kStates + state];
+    decoded[step] = static_cast<std::uint8_t>(state >> (kMemory - 1));
+    state = ((state & (kStates / 2 - 1)) << 1) |
+            static_cast<std::uint32_t>((decisions[step] >> state) & 1u);
   }
   decoded.resize(n_info);  // strip tail
   return decoded;

@@ -385,18 +385,18 @@ decode_result backfi_decoder::decode_with_scratch(
   // clock wander) stays bounded instead of walking across the decision
   // boundary on long packets.
   obs::timing_span track_span(config_.collector, "reader.decode.track");
-  scratch.track_labels.clear();
+  std::vector<std::uint32_t> labels;
   if (config_.phase_tracking) {
     // The sliced decisions are kept so the EVM loop below reuses them
     // instead of re-slicing the exact same (final) symbol values.
-    scratch.track_labels.resize(n_payload_symbols);
+    labels.resize(n_payload_symbols);
     const double gain = config_.phase_tracking_gain;
     cplx rot{1.0, 0.0};
     std::size_t s = 0;
     for (cplx& m : symbols) {
       m *= rot;
       const std::uint32_t label = constellation.slice(m);
-      scratch.track_labels[s++] = label;
+      labels[s++] = label;
       const cplx ref = constellation.points[by_label[label]];
       const double err = std::arg(m * std::conj(ref));
       rot *= std::polar(1.0, -gain * err);
@@ -408,7 +408,7 @@ decode_result backfi_decoder::decode_with_scratch(
   decode_result bits = decode_from_symbols_impl(symbols, noise_var,
                                                 payload_bits, constellation,
                                                 by_label, &scratch,
-                                                scratch.track_labels);
+                                                std::move(labels));
   bits.sync_found = result.sync_found;
   bits.sync_attempts = result.sync_attempts;
   bits.timing_offset = result.timing_offset;
@@ -445,7 +445,7 @@ decode_result backfi_decoder::decode_from_symbols_impl(
     std::span<const cplx> symbols, double noise_var, std::size_t payload_bits,
     const phy::constellation& constellation,
     std::span<const std::size_t> by_label, decoder_scratch* scratch,
-    std::span<const std::uint32_t> tracked_labels) const {
+    std::vector<std::uint32_t> labels) const {
   decode_result result;
   if (payload_bits == 0) {
     result.failure = decode_failure::zero_payload;
@@ -463,19 +463,17 @@ decode_result backfi_decoder::decode_from_symbols_impl(
   // decisions are reused; slicing again would return the same labels.
   {
     obs::timing_span evm_span(config_.collector, "reader.decode.evm");
-    double acc = 0.0;
-    if (tracked_labels.size() == symbols.size()) {
+    if (labels.size() != symbols.size()) {
+      labels.resize(symbols.size());
       for (std::size_t i = 0; i < symbols.size(); ++i)
-        acc += std::norm(symbols[i] -
-                         constellation.points[by_label[tracked_labels[i]]]);
-    } else {
-      for (const cplx& m : symbols) {
-        const std::uint32_t label = constellation.slice(m);
-        acc += std::norm(m - constellation.points[by_label[label]]);
-      }
+        labels[i] = constellation.slice(symbols[i]);
     }
+    double acc = 0.0;
+    for (std::size_t i = 0; i < symbols.size(); ++i)
+      acc += std::norm(symbols[i] - constellation.points[by_label[labels[i]]]);
     result.evm_rms = std::sqrt(acc / std::max<std::size_t>(symbols.size(), 1));
     obs::observe(config_.collector, obs::probe::evm_rms, result.evm_rms);
+    result.symbol_labels = std::move(labels);
   }
 
   const std::size_t info_bits = payload_bits + 32;  // + CRC

@@ -117,6 +117,11 @@ struct decode_result {
   double evm_rms = 0.0;          ///< RMS error vs the sliced PSK points
   cvec h_fb;                     ///< combined channel estimate
   cvec symbol_estimates;         ///< raw MRC outputs (payload symbols)
+  /// The decoder's hard decision (PSK label) for each symbol_estimates
+  /// entry: slice() of the exact stored value, taken by the phase tracker
+  /// or, with tracking off, by the EVM loop. Filled whenever the demap
+  /// stage was reached.
+  std::vector<std::uint32_t> symbol_labels;
 };
 
 /// Reusable buffers for repeated decode() calls. One instance per worker
@@ -129,7 +134,6 @@ struct decoder_scratch {
   cvec sync_estimates;          ///< per-offset sync-word MRC outputs
   dsp::fir_ls_workspace ls;     ///< Gram/RHS buffers for the h_fb estimate
   cvec h_fb;                    ///< reusable h_fb taps (copied into results)
-  std::vector<std::uint32_t> track_labels;  ///< phase-tracker slice decisions
   std::vector<double> soft;     ///< demapped LLRs (payload coded bits)
   std::vector<double> mother;   ///< depunctured mother-code metrics
   dsp::workspace_stats* stats = nullptr;
@@ -194,14 +198,15 @@ class backfi_decoder {
   /// Shared demap/Viterbi/CRC tail used by decode() and decode_from_symbols;
   /// takes the constellation and its label->point-index table so neither
   /// caller rebuilds them. `scratch` (nullable) supplies the demap and
-  /// depuncture buffers; `tracked_labels`, when non-empty, carries the phase
-  /// tracker's slice decisions so the EVM loop reuses them instead of
-  /// re-slicing the same symbols.
+  /// depuncture buffers. `labels`, when it holds one entry per symbol,
+  /// carries the phase tracker's slice decisions so the EVM loop reuses
+  /// them instead of re-slicing the same symbols; either way they end up in
+  /// the result's symbol_labels.
   decode_result decode_from_symbols_impl(
       std::span<const cplx> symbols, double noise_var, std::size_t payload_bits,
       const phy::constellation& constellation,
       std::span<const std::size_t> by_label, decoder_scratch* scratch,
-      std::span<const std::uint32_t> tracked_labels) const;
+      std::vector<std::uint32_t> labels) const;
 
   /// estimate_combined_channel through the reusable Gram/RHS workspace;
   /// returns false (and leaves `taps` untouched) on a degenerate window.

@@ -10,7 +10,6 @@
 #include "dsp/fir.h"
 #include "dsp/math_util.h"
 #include "dsp/vec_ops.h"
-#include "phy/constellation.h"
 #include "reader/stream_session.h"
 #include "sim/parallel.h"
 #include "sim/scheduler.h"
@@ -387,22 +386,21 @@ trial_result run_backscatter_trial(const scenario_config& config,
     obs::count(c, obs::probe::bit_errors, result.bit_errors);
   }
 
-  // Raw (pre-Viterbi) symbol errors for the Fig. 11b BER analysis.
+  // Raw (pre-Viterbi) symbol errors for the Fig. 11b BER analysis, counted
+  // from the decoder's own hard decisions on the stored symbol estimates.
   obs::timing_span slicer_span(c, "reader.slicer");
-  if (decoded.sync_found && !decoded.symbol_estimates.empty()) {
-    const auto& constellation =
-        phy::psk_constellation(tag::psk_order(config.tag.rate.modulation));
+  if (decoded.sync_found && !decoded.symbol_labels.empty()) {
     const std::size_t bps = tag::bits_per_symbol(config.tag.rate.modulation);
     std::size_t errors = 0;
     // The transmitted coded stream, as the tag built it.
     const phy::bitvec& coded = tag_tx.coded_bits;
     for (std::size_t s = 0;
-         s < decoded.symbol_estimates.size() && (s + 1) * bps <= coded.size();
+         s < decoded.symbol_labels.size() && (s + 1) * bps <= coded.size();
          ++s) {
       std::uint32_t tx_label = 0;
       for (std::size_t b = 0; b < bps; ++b)
         tx_label = (tx_label << 1) | (coded[s * bps + b] & 1u);
-      if (constellation.slice(decoded.symbol_estimates[s]) != tx_label) ++errors;
+      if (decoded.symbol_labels[s] != tx_label) ++errors;
     }
     result.raw_symbol_errors = errors;
     obs::count(c, obs::probe::raw_symbol_errors, errors);

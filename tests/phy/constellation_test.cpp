@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <stdexcept>
 
 #include "dsp/rng.h"
 
@@ -196,22 +199,158 @@ TEST(SliceKernelTest, NonFiniteSymbolReturnsFirstLabel) {
   }
 }
 
+// The per-point, per-bit loop the vectorized max-log kernel replaced:
+// every distance is std::norm(y - p), each bit's minima start at +inf and
+// take std::min, LLR = (min1 - min0) / var. The kernel must match it bit
+// for bit (memcmp), NaN payloads included.
+std::vector<double> reference_demap(const constellation& c,
+                                    std::span<const cplx> symbols,
+                                    double noise_var) {
+  const std::size_t bps = c.bits_per_symbol;
+  const double inv_var = 1.0 / std::max(noise_var, 1e-30);
+  std::vector<double> out;
+  for (const cplx& y : symbols) {
+    std::vector<double> min0(bps, std::numeric_limits<double>::infinity());
+    std::vector<double> min1(bps, std::numeric_limits<double>::infinity());
+    for (std::size_t i = 0; i < c.points.size(); ++i) {
+      const double d = std::norm(y - c.points[i]);
+      for (std::size_t b = 0; b < bps; ++b) {
+        const bool bit = ((c.labels[i] >> (bps - 1 - b)) & 1u) != 0;
+        auto& slot = bit ? min1[b] : min0[b];
+        slot = std::min(slot, d);
+      }
+    }
+    for (std::size_t b = 0; b < bps; ++b)
+      out.push_back((min1[b] - min0[b]) * inv_var);
+  }
+  return out;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::vector<const constellation*> builtin_constellations() {
+  std::vector<const constellation*> all;
+  for (std::size_t b : {1u, 2u, 4u, 6u}) all.push_back(&wifi_constellation(b));
+  for (std::size_t o : {2u, 4u, 8u, 16u}) all.push_back(&psk_constellation(o));
+  return all;
+}
+
+// Symbols that stress every branch of the max-log arithmetic: Gaussian
+// draws, exact points, the origin, midpoints of every point pair (decision
+// boundaries: exact distance ties), magnitudes on both sides of the square
+// overflow (~1.34e154) and around 1e300, and NaN/Inf components.
+cvec demap_stress_symbols(const constellation& c, dsp::rng& gen) {
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  cvec y;
+  for (int i = 0; i < 203; ++i) y.push_back(1.3 * gen.complex_gaussian());
+  for (const cplx& p : c.points) y.push_back(p);
+  y.push_back(cplx{0.0, 0.0});
+  y.push_back(cplx{-0.0, -0.0});
+  for (std::size_t i = 0; i < c.points.size(); ++i)
+    for (std::size_t j = i + 1; j < c.points.size(); ++j)
+      y.push_back(0.5 * (c.points[i] + c.points[j]));
+  for (const double m : {1e154, 1.3e154, 1.4e154, 1e200, 1e300, 1.7e308}) {
+    y.push_back(cplx{m, 0.0});
+    y.push_back(cplx{0.0, -m});
+    y.push_back(cplx{m, m});
+    y.push_back(cplx{-m, 0.5});
+  }
+  for (const double v : {nan, inf, -inf}) {
+    y.push_back(cplx{v, 0.0});
+    y.push_back(cplx{0.0, v});
+    y.push_back(cplx{v, v});
+    y.push_back(cplx{v, 0.3});
+  }
+  y.push_back(cplx{inf, nan});
+  y.push_back(cplx{-inf, inf});
+  return y;  // deliberately not a multiple of 4 for most constellations
+}
+
+TEST(DemapKernelTest, MatchesScalarReferenceAllConstellations) {
+  dsp::rng gen(45);
+  for (const constellation* c : builtin_constellations()) {
+    const cvec symbols = demap_stress_symbols(*c, gen);
+    for (const double noise_var : {0.07, 1e-40, 3.0}) {
+      const std::vector<double> ref = reference_demap(*c, symbols, noise_var);
+      EXPECT_TRUE(bitwise_equal(c->demap_llr_stream(symbols, noise_var), ref))
+          << c->points.size() << " points, var " << noise_var;
+      // Every stream length 0..9 (the kernel's tail handling).
+      for (std::size_t n = 0; n < 10; ++n) {
+        const std::span<const cplx> head(symbols.data(), n);
+        std::vector<double> got;
+        c->demap_llr_stream_into(head, noise_var, got);
+        EXPECT_TRUE(bitwise_equal(got, reference_demap(*c, head, noise_var)))
+            << c->points.size() << " points, n " << n;
+      }
+    }
+  }
+}
+
+TEST(DemapKernelTest, NonFiniteSymbolsGiveTheReferenceNaN) {
+  // A symbol with a NaN component has no finite distance: both minima stay
+  // +inf and every LLR is the NaN of inf - inf, exactly as in the loop.
+  const auto& c = psk_constellation(16);
+  const cvec y = {cplx{std::numeric_limits<double>::quiet_NaN(), 0.0}};
+  const auto got = c.demap_llr_stream(y, 0.1);
+  ASSERT_EQ(got.size(), 4u);
+  for (const double v : got) EXPECT_TRUE(std::isnan(v));
+  EXPECT_TRUE(bitwise_equal(got, reference_demap(c, y, 0.1)));
+}
+
+TEST(DemapKernelTest, ArbitraryLayoutsMatchReference) {
+  // Layouts no built-in has: labels out of order with duplicates, fewer
+  // points than labels allow, and wide labels. They take the kernel's
+  // run-time path, which must agree with the reference too.
+  dsp::rng gen(46);
+  constellation odd;
+  odd.bits_per_symbol = 3;
+  odd.points = {cplx{1.0, 0.0}, cplx{0.0, 1.0}, cplx{-1.0, 0.0},
+                cplx{0.0, -1.0}, cplx{0.5, 0.5}};
+  odd.labels = {5u, 2u, 7u, 2u, 0u};
+  constellation wide;
+  wide.bits_per_symbol = 12;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    wide.points.push_back(gen.complex_gaussian());
+    wide.labels.push_back((i * 2654435761u) & 0xfffu);
+  }
+  for (const constellation* c : {&odd, &wide}) {
+    const cvec symbols = demap_stress_symbols(*c, gen);
+    EXPECT_TRUE(
+        bitwise_equal(c->demap_llr_stream(symbols, 0.2),
+                      reference_demap(*c, symbols, 0.2)))
+        << c->bits_per_symbol << " bits";
+  }
+  constellation too_wide;
+  too_wide.bits_per_symbol = 33;
+  too_wide.points = {cplx{1.0, 0.0}};
+  too_wide.labels = {0u};
+  std::vector<double> out;
+  EXPECT_THROW(too_wide.demap_llr(cplx{0.0, 0.0}, 1.0, out),
+               std::invalid_argument);
+}
+
 TEST(DemapStreamIntoTest, BitIdenticalToPerSymbolDemap) {
+  // demap_llr (one symbol, the WiFi receiver's per-subcarrier form),
+  // demap_llr_stream_into and the scalar reference agree bit for bit.
   dsp::rng gen(43);
-  for (std::size_t o : {2u, 4u, 8u, 16u}) {
-    const auto& c = psk_constellation(o);
+  for (const constellation* c : builtin_constellations()) {
     cvec symbols(137);
     for (auto& s : symbols) s = gen.complex_gaussian();
     const double noise_var = 0.07;
     std::vector<double> got;
-    c.demap_llr_stream_into(symbols, noise_var, got);
-    ASSERT_EQ(got.size(), symbols.size() * c.bits_per_symbol);
+    c->demap_llr_stream_into(symbols, noise_var, got);
+    ASSERT_EQ(got.size(), symbols.size() * c->bits_per_symbol);
+    EXPECT_TRUE(bitwise_equal(got, reference_demap(*c, symbols, noise_var)));
     std::vector<double> per_symbol;
     for (std::size_t s = 0; s < symbols.size(); ++s) {
-      c.demap_llr(symbols[s], noise_var, per_symbol);
-      for (std::size_t b = 0; b < c.bits_per_symbol; ++b)
-        ASSERT_EQ(got[s * c.bits_per_symbol + b], per_symbol[b])
-            << "symbol " << s << " bit " << b;
+      c->demap_llr(symbols[s], noise_var, per_symbol);
+      const std::vector<double> ref =
+          reference_demap(*c, std::span<const cplx>(&symbols[s], 1), noise_var);
+      ASSERT_TRUE(bitwise_equal(per_symbol, ref)) << "symbol " << s;
     }
   }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "dsp/rng.h"
@@ -215,6 +217,188 @@ bitvec reference_viterbi(std::span<const double> soft, std::size_t n_info,
   }
   decoded.resize(n_info);
   return decoded;
+}
+
+/// The byte-survivor gather decoder the packed-decision traceback replaced,
+/// kept verbatim as a second reference: per step it stored every state's
+/// input bit and predecessor, zero-initialised. Unlike the scatter form it
+/// evaluates unreachable predecessors too, so it is the reference for soft
+/// inputs whose infinities turn those candidates into NaN.
+bitvec reference_gather_viterbi(std::span<const double> soft,
+                                std::size_t n_info, double* final_metric) {
+  constexpr int kMemory = 6;
+  constexpr int kStates = 1 << kMemory;
+  constexpr std::uint32_t kG0 = 0b1011011;
+  constexpr std::uint32_t kG1 = 0b1111001;
+  const auto parity = [](std::uint32_t v) {
+    v ^= v >> 16;
+    v ^= v >> 8;
+    v ^= v >> 4;
+    v ^= v >> 2;
+    v ^= v >> 1;
+    return static_cast<int>(v & 1u);
+  };
+  std::array<std::array<std::uint8_t, 2>, kStates> index{};
+  for (int p = 0; p < kStates; ++p)
+    for (int b = 0; b < 2; ++b) {
+      const std::uint32_t reg = (static_cast<std::uint32_t>(b) << kMemory) |
+                                static_cast<std::uint32_t>(p);
+      index[p][b] = static_cast<std::uint8_t>((parity(reg & kG0) << 1) |
+                                              parity(reg & kG1));
+    }
+  const std::size_t n_steps = n_info + conv_tail_bits;
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  std::vector<double> metric(kStates, kNegInf);
+  metric[0] = 0.0;
+  std::vector<std::uint8_t> survivor_input(n_steps * kStates);
+  std::vector<std::uint8_t> survivor_prev(n_steps * kStates);
+  std::vector<double> next_metric(kStates);
+  for (std::size_t step = 0; step < n_steps; ++step) {
+    const double s0 = soft[2 * step];
+    const double s1 = soft[2 * step + 1];
+    const int max_input = (step < n_info) ? 2 : 1;
+    const double bm[4] = {s0 + s1, s0 + (-s1), (-s0) + s1, (-s0) + (-s1)};
+    for (int ns = 0; ns < kStates; ++ns) {
+      const int b = ns >> (kMemory - 1);
+      if (b >= max_input) {
+        next_metric[ns] = kNegInf;
+        continue;
+      }
+      const int p0 = (ns & (kStates / 2 - 1)) * 2;
+      const double c0 = metric[p0] + bm[index[p0][b]];
+      const double c1 = metric[p0 + 1] + bm[index[p0 + 1][b]];
+      const bool take1 = c1 > c0;
+      next_metric[ns] = take1 ? c1 : c0;
+      survivor_input[step * kStates + ns] = static_cast<std::uint8_t>(b);
+      survivor_prev[step * kStates + ns] =
+          static_cast<std::uint8_t>(p0 + (take1 ? 1 : 0));
+    }
+    metric.swap(next_metric);
+  }
+  if (final_metric) *final_metric = metric[0];
+  bitvec decoded(n_steps);
+  int state = 0;
+  for (std::size_t step = n_steps; step-- > 0;) {
+    decoded[step] = survivor_input[step * kStates + state];
+    state = survivor_prev[step * kStates + state];
+  }
+  decoded.resize(n_info);
+  return decoded;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Decode `soft` with the production decoder and the scatter reference;
+/// decoded bits and the final path metric must match bit for bit.
+void expect_matches_scatter(std::span<const double> soft, std::size_t n_info,
+                            const char* what) {
+  double ref_metric = 1.0, got_metric = 2.0;
+  const bitvec ref = reference_viterbi(soft, n_info, &ref_metric);
+  const bitvec got = viterbi_decode(soft, n_info, &got_metric);
+  EXPECT_EQ(got, ref) << what;
+  EXPECT_TRUE(same_bits(got_metric, ref_metric))
+      << what << ": " << got_metric << " vs " << ref_metric;
+}
+
+TEST(ViterbiKernelTest, MatchesScatterReferenceAtEveryCodeRate) {
+  dsp::rng gen(13);
+  for (const code_rate rate :
+       {code_rate::half, code_rate::two_thirds, code_rate::three_quarters}) {
+    for (const std::size_t n_info : {std::size_t{1}, std::size_t{57},
+                                     std::size_t{632}}) {
+      bitvec info(n_info);
+      for (auto& b : info) b = static_cast<std::uint8_t>(gen.uniform_int(2));
+      const bitvec mother = conv_encode(info);
+      const bitvec sent = puncture(mother, rate);
+      std::vector<double> soft_sent(sent.size());
+      for (std::size_t i = 0; i < sent.size(); ++i)
+        soft_sent[i] = ((sent[i] & 1u) ? -1.0 : 1.0) + 0.8 * gen.gaussian();
+      expect_matches_scatter(depuncture(soft_sent, rate, mother.size()),
+                             n_info, code_rate_name(rate));
+    }
+  }
+}
+
+TEST(ViterbiKernelTest, SingleInfoBitAndLongBlock) {
+  dsp::rng gen(14);
+  for (const std::size_t n_info : {std::size_t{1}, std::size_t{32000}}) {
+    bitvec info(n_info);
+    for (auto& b : info) b = static_cast<std::uint8_t>(gen.uniform_int(2));
+    const bitvec mother = conv_encode(info);
+    std::vector<double> soft(mother.size());
+    for (std::size_t i = 0; i < soft.size(); ++i)
+      soft[i] = ((mother[i] & 1u) ? -1.0 : 1.0) + 0.7 * gen.gaussian();
+    expect_matches_scatter(soft, n_info, n_info == 1 ? "n_info 1" : "32000");
+    EXPECT_EQ(viterbi_decode(soft, n_info).size(), n_info);
+  }
+}
+
+TEST(ViterbiKernelTest, AllZeroSoftInputTiesEveryCompare) {
+  // Every branch metric is +0, so every reachable candidate pair ties and
+  // the strict select must keep the first predecessor everywhere.
+  for (const std::size_t n_info : {std::size_t{1}, std::size_t{300}}) {
+    const std::vector<double> zeros(2 * (n_info + conv_tail_bits), 0.0);
+    expect_matches_scatter(zeros, n_info, "all-zero");
+    EXPECT_EQ(viterbi_decode(zeros, n_info), bitvec(n_info, 0));
+  }
+}
+
+TEST(ViterbiKernelTest, InfiniteSoftRunsMatchGatherReference) {
+  // Runs of -inf / +inf soft values between erasure runs: candidates from
+  // -inf (unreachable) metrics become NaN and reachable ones +-inf. The
+  // packed-decision decoder must reproduce the byte-survivor decoder's
+  // bits, and its final metric (NaN compared as NaN).
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  dsp::rng gen(15);
+  const std::size_t n_info = 200;
+  std::vector<double> soft(2 * (n_info + conv_tail_bits), 0.0);
+  for (std::size_t i = 0; i < soft.size(); ++i) {
+    const std::size_t run = (i / 9) % 4;
+    soft[i] = run == 0   ? 0.0
+              : run == 1 ? -inf
+              : run == 2 ? gen.gaussian()
+                         : (i % 2 ? inf : -inf);
+  }
+  double ref_metric = 0.0, got_metric = 0.0;
+  const bitvec ref = reference_gather_viterbi(soft, n_info, &ref_metric);
+  const bitvec got = viterbi_decode(soft, n_info, &got_metric);
+  EXPECT_EQ(got, ref);
+  EXPECT_TRUE(same_bits(got_metric, ref_metric) ||
+              (std::isnan(got_metric) && std::isnan(ref_metric)))
+      << got_metric << " vs " << ref_metric;
+
+  // -inf soft runs inside an otherwise clean erasure-punctured block.
+  bitvec info(n_info);
+  for (auto& b : info) b = static_cast<std::uint8_t>(gen.uniform_int(2));
+  const bitvec mother = conv_encode(info);
+  std::vector<double> mixed(mother.size());
+  for (std::size_t i = 0; i < mixed.size(); ++i)
+    mixed[i] = (i % 50) < 6 ? -inf
+               : (i % 3 == 2) ? 0.0
+                              : ((mother[i] & 1u) ? -1.0 : 1.0);
+  const bitvec ref2 = reference_gather_viterbi(mixed, n_info, &ref_metric);
+  const bitvec got2 = viterbi_decode(mixed, n_info, &got_metric);
+  EXPECT_EQ(got2, ref2);
+  EXPECT_TRUE(same_bits(got_metric, ref_metric) ||
+              (std::isnan(got_metric) && std::isnan(ref_metric)))
+      << got_metric << " vs " << ref_metric;
+}
+
+TEST(ViterbiKernelTest, FiniteStreamsMatchGatherReferenceBitwise) {
+  // On finite input the byte-survivor gather decoder and the scatter
+  // reference agree, and the packed decoder matches both bit for bit.
+  dsp::rng gen(16);
+  const std::size_t n_info = 500;
+  std::vector<double> soft(2 * (n_info + conv_tail_bits));
+  for (auto& v : soft) v = static_cast<double>(gen.uniform_int(5)) - 2.0;
+  double ref_metric = 0.0, got_metric = 0.0;
+  const bitvec ref = reference_gather_viterbi(soft, n_info, &ref_metric);
+  const bitvec got = viterbi_decode(soft, n_info, &got_metric);
+  EXPECT_EQ(got, ref);
+  EXPECT_TRUE(same_bits(got_metric, ref_metric));
+  expect_matches_scatter(soft, n_info, "quantized");
 }
 
 TEST(ConvolutionalTest, ViterbiMatchesReferenceScatterImplementation) {
