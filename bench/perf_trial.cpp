@@ -22,12 +22,18 @@
 // diffs that file against the committed baseline in CI and fails on a >25%
 // regression of serial trials/sec.
 //
+// A long-packet section then runs the point fig08's 7 m cells settle on
+// (QPSK 1/2 at 100 kHz, 7 m: 200 samples per symbol, ~128 K payload
+// samples), instrumented, and records its stage means under "long_packet".
+//
 // Exit code: non-zero when the parallel PER diverges from serial, when a
 // fault-free trial synthesizes received samples outside the silent window
 // ∪ decoder read window its receive chain processes, when it modulates half
-// or more of the excitation's OFDM DATA symbols, or when the output file
-// cannot be written, so CI catches determinism and ranged-synthesis bugs
-// here too.
+// or more of the excitation's OFDM DATA symbols, when a long-packet sync
+// attempt convolves or precomputes more than its sync window + 2·search +
+// fb_taps samples (the timing scan sliding back over the payload), or when
+// the output file cannot be written, so CI catches determinism and
+// ranged-synthesis bugs here too.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -44,6 +50,8 @@
 #include "sim/parallel.h"
 #include "sim/scheduler.h"
 #include "sim/stream_sim.h"
+#include "tag/tag_device.h"
+#include "sim/rate_adaptation.h"
 #include "wifi/rates.h"
 
 namespace {
@@ -52,6 +60,7 @@ using namespace backfi;
 
 constexpr int kTrialsPerRep = 60;
 constexpr int kReps = 5;
+constexpr int kLongPacketTrials = 32;
 
 sim::scenario_config fig08_mid() {
   sim::scenario_config cfg;
@@ -61,6 +70,14 @@ sim::scenario_config fig08_mid() {
   cfg.tag_distance_m = 2.0;
   cfg.tag.rate = {tag::tag_modulation::psk16, phy::code_rate::half, 2.5e6};
   return cfg;
+}
+
+/// The long-packet point: fig08_mid's link moved to QPSK 1/2 at 100 kHz and
+/// 7 m, sized by the rate-adaptation rules the sweeps use.
+sim::scenario_config long_packet() {
+  return sim::scenario_for_point(
+      fig08_mid(), {tag::tag_modulation::qpsk, phy::code_rate::half, 100e3},
+      7.0);
 }
 
 /// One serial rep over the fresh seeds derive_trial_seed(rep, i); every
@@ -261,8 +278,9 @@ int main(int argc, char** argv) {
   };
   const char* top_level_stages[] = {
       "reader.excitation", "channel.forward",   "tag.modulate",
-      "channel.backscatter", "sim.noise",       "fd.receive_chain",
-      "reader.decode",     "reader.slicer",     "sim.oracle",
+      "sim.session",       "channel.backscatter", "sim.noise",
+      "fd.receive_chain",  "reader.decode",     "reader.slicer",
+      "sim.oracle",
   };
   double stage_sum = 0.0;
   for (const char* s : top_level_stages) stage_sum += stage_mean(s);
@@ -271,6 +289,55 @@ int main(int argc, char** argv) {
       trial_mean > 0.0 ? stage_sum / trial_mean : 0.0;
   std::printf("stages:    sum %.1f us of trial %.1f us  (coverage %.1f%%)\n",
               stage_sum * 1e6, trial_mean * 1e6, stage_coverage * 100.0);
+
+  // Long packets: serial, instrumented, fresh seeds. The decoder reports
+  // each sync attempt's convolved/precomputed samples beyond its 2·search
+  // timing margin; past the sync word (plus the estimator's fb_taps of
+  // slack) means an attempt reached into the payload again.
+  obs::collector long_collector;
+  const sim::scenario_config long_cfg = long_packet();
+  const std::uint64_t long_rep = next_rep++;
+  double long_wall = 0.0;
+  {
+    sim::scenario_config cfg = long_cfg;
+    for (int i = 0; i < 4; ++i) {  // warm-up: long-packet buffer sizes
+      cfg.seed =
+          sim::derive_trial_seed(long_rep, static_cast<std::uint64_t>(i));
+      sim::run_backscatter_trial(cfg);
+    }
+    cfg.collector = &long_collector;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kLongPacketTrials; ++i) {
+      cfg.seed = sim::derive_trial_seed(
+          long_rep, static_cast<std::uint64_t>(4 + i));
+      sim::run_backscatter_trial(cfg);
+    }
+    long_wall = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  }
+  const auto& long_reg = long_collector.registry();
+  const auto window_it = long_reg.histograms().find(
+      "runtime.reader.sync_scan.samples_beyond_search");
+  const double sync_attempts =
+      window_it != long_reg.histograms().end()
+          ? static_cast<double>(window_it->second.count)
+          : 0.0;
+  const double sync_window_max =
+      sync_attempts > 0.0 ? window_it->second.max_value : 0.0;
+  const double sync_window_bound = static_cast<double>(
+      long_cfg.tag.sync_symbols *
+          tag::tag_device(long_cfg.tag).samples_per_symbol() +
+      long_cfg.decoder.fb_taps);
+  const bool sync_window_ok =
+      sync_attempts > 0.0 && sync_window_max <= sync_window_bound;
+  std::printf("long packet: qpsk 1/2 @ 100 kHz, 7 m: %.0f us/trial "
+              "(instrumented, %d trials)\n",
+              long_wall / kLongPacketTrials * 1e6, kLongPacketTrials);
+  std::printf("sync scan: %.0f attempts, max %.0f samples beyond 2*search "
+              "(bound %.0f)  windowed: %s\n",
+              sync_attempts, sync_window_max, sync_window_bound,
+              sync_window_ok ? "yes" : "NO — SYNC SCAN REACHES THE PAYLOAD");
 
   // Streaming pipeline: one continuous 32-packet capture with inter-packet
   // channel/LO drift through reader::stream_session, at 1 and 2 threads,
@@ -453,34 +520,43 @@ int main(int argc, char** argv) {
             static_cast<double>(sr.stats.queue_high_water));
   json += std::string("    \"identical\": ") +
           (stream_identical ? "true" : "false") + "\n  },\n";
-  json += "  \"stage_means_us\": {\n";
+  // Timing histograms whose names start with `prefix`, as "stage": mean-us
+  // entries (the "timing." prefix dropped), comma-separated across calls.
   bool first = true;
-  for (const auto& [name, h] : reg.histograms()) {
-    if (name.rfind("timing.", 0) != 0 || h.count == 0) continue;
-    if (!first) json += ",\n";
-    first = false;
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "    \"%s\": %.17g", name.c_str() + 7,
-                  h.mean() * 1e6);
-    json += buf;
-  }
+  auto append_means = [&](const obs::metrics_registry& r, const char* prefix,
+                          const char* indent) {
+    for (const auto& [name, h] : r.histograms()) {
+      if (name.rfind(prefix, 0) != 0 || h.count == 0) continue;
+      if (!first) json += ",\n";
+      first = false;
+      char buf[160];
+      std::snprintf(buf, sizeof buf, "%s\"%s\": %.17g", indent,
+                    name.c_str() + 7, h.mean() * 1e6);
+      json += buf;
+    }
+  };
+  json += "  \"stage_means_us\": {\n";
+  append_means(reg, "timing.", "    ");
   // The streaming stage spans live on their own collector (see above);
   // record the reader.stream.* means alongside the batch stages.
-  for (const auto& [name, h] : stream_collector.registry().histograms()) {
-    if (name.rfind("timing.reader.stream.", 0) != 0 || h.count == 0) continue;
-    if (!first) json += ",\n";
-    first = false;
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "    \"%s\": %.17g", name.c_str() + 7,
-                  h.mean() * 1e6);
-    json += buf;
-  }
-  json += "\n  }\n}\n";
+  append_means(stream_collector.registry(), "timing.reader.stream.", "    ");
+  json += "\n  },\n";
+  json += "  \"long_packet\": {\n";
+  json += "    \"scenario\": \"qpsk_half_100k_7m\",\n";
+  append_kv(json, "trials", kLongPacketTrials);
+  append_kv(json, "us_per_trial", long_wall / kLongPacketTrials * 1e6);
+  append_kv(json, "sync_attempts", sync_attempts);
+  append_kv(json, "sync_samples_beyond_search_max", sync_window_max);
+  append_kv(json, "sync_samples_beyond_search_bound", sync_window_bound);
+  json += "    \"stage_means_us\": {\n";
+  first = true;
+  append_means(long_reg, "timing.", "      ");
+  json += "\n    }\n  }\n}\n";
 
   const bool wrote = obs::write_file(out_path, json);
   std::printf("%s %s\n", wrote ? "wrote" : "FAILED to write", out_path.c_str());
   return (identical && stream_identical && synthesis_in_roi &&
-          excitation_ranged && wrote)
+          excitation_ranged && sync_window_ok && wrote)
              ? 0
              : 1;
 }

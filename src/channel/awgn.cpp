@@ -16,15 +16,23 @@ void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen) {
 
 void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen,
               std::span<const dsp::sample_range> ranges) {
-  // Documented contract: non-positive power consumes zero draws.
-  if (noise_power <= 0.0 || x.empty()) return;
-  const std::uint64_t key = gen.next_u64();
-  const double amp = std::sqrt(noise_power);
+  const awgn_stream noise = draw_awgn_stream(noise_power, x.size(), gen);
   for (const dsp::sample_range& r : ranges) {
     const std::size_t end = std::min(r.end, x.size());
     const std::size_t begin = std::min(r.begin, end);
-    dsp::add_complex_normals(key, begin, x.subspan(begin, end - begin), amp);
+    add_awgn(x.subspan(begin, end - begin), noise, begin);
   }
+}
+
+awgn_stream draw_awgn_stream(double noise_power, std::size_t capture_len,
+                             dsp::rng& gen) {
+  // Documented contract: non-positive power consumes zero draws.
+  if (noise_power <= 0.0 || capture_len == 0) return {};
+  return {.active = true, .key = gen.next_u64(), .amp = std::sqrt(noise_power)};
+}
+
+void add_awgn(std::span<cplx> x, const awgn_stream& noise, std::size_t first) {
+  if (noise.active) dsp::add_complex_normals(noise.key, first, x, noise.amp);
 }
 
 double normalized_noise_power(double tx_power_dbm, double bandwidth_hz,

@@ -36,6 +36,26 @@ void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen);
 void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen,
               std::span<const dsp::sample_range> ranges);
 
+/// The noise of one add_awgn call split into its single draw and the
+/// per-sample fill, so a capture can be synthesized tile by tile with the
+/// same noise: draw the stream where add_awgn would run, then add it to
+/// each tile.
+struct awgn_stream {
+  bool active = false;  ///< false: the zero-draw rule applied, add nothing
+  std::uint64_t key = 0;
+  double amp = 0.0;     ///< sqrt(noise_power)
+};
+
+/// Takes add_awgn's one key for a capture of `capture_len` samples, under
+/// its zero-draw rule (noise_power <= 0 or an empty capture: no draw, an
+/// inactive stream).
+awgn_stream draw_awgn_stream(double noise_power, std::size_t capture_len,
+                             dsp::rng& gen);
+
+/// x[i] += complex normal (first + i) of the stream's key, scaled: the
+/// value add_awgn gives absolute sample first + i. No-op when inactive.
+void add_awgn(std::span<cplx> x, const awgn_stream& noise, std::size_t first);
+
 /// Noise power normalized to the transmit power reference: the receiver's
 /// thermal floor (kTB * NF) divided by the transmit power.
 double normalized_noise_power(double tx_power_dbm, double bandwidth_hz,

@@ -86,19 +86,28 @@ cvec convolve_same_range(std::span<const cplx> x, std::span<const cplx> h,
   cvec out(x.size(), cplx{0.0, 0.0});
   const std::size_t e = std::min(end, x.size());
   const std::size_t b = std::min(begin, e);
-  if (b >= e || x.empty() || h.empty()) return out;
+  convolve_same_window(x, h, b, std::span(out).subspan(b, e - b));
+  return out;
+}
+
+void convolve_same_window(std::span<const cplx> x, std::span<const cplx> h,
+                          std::size_t begin, std::span<cplx> out) {
+  assert(begin + out.size() <= x.size());
+  if (out.empty()) return;
+  if (h.empty()) {
+    std::fill(out.begin(), out.end(), cplx{0.0, 0.0});
+    return;
+  }
   if (std::min(x.size(), h.size()) >= fft_convolve_min_taps) {
     // FFT regime: the windowed direct loop would not match the overlap-save
     // rounding, so compute the full dispatch path and copy the window.
     const cvec full = convolve_same(x, h);
-    std::copy(full.begin() + static_cast<std::ptrdiff_t>(b),
-              full.begin() + static_cast<std::ptrdiff_t>(e),
-              out.begin() + static_cast<std::ptrdiff_t>(b));
-    return out;
+    std::copy_n(full.begin() + static_cast<std::ptrdiff_t>(begin), out.size(),
+                out.begin());
+    return;
   }
   detail::convolve_same_gather(x.data(), x.size(), h.data(), h.size(),
-                               out.data() + b, b, e);
-  return out;
+                               out.data(), begin, begin + out.size());
 }
 
 void convolve_same_range_into(std::span<const cplx> x, std::span<const cplx> h,
@@ -107,21 +116,7 @@ void convolve_same_range_into(std::span<const cplx> x, std::span<const cplx> h,
   acquire(out, x.size(), stats);
   const std::size_t e = std::min(end, x.size());
   const std::size_t b = std::min(begin, e);
-  if (b >= e) return;
-  if (h.empty()) {
-    std::fill(out.begin() + static_cast<std::ptrdiff_t>(b),
-              out.begin() + static_cast<std::ptrdiff_t>(e), cplx{0.0, 0.0});
-    return;
-  }
-  if (std::min(x.size(), h.size()) >= fft_convolve_min_taps) {
-    const cvec full = convolve_same(x, h);
-    std::copy(full.begin() + static_cast<std::ptrdiff_t>(b),
-              full.begin() + static_cast<std::ptrdiff_t>(e),
-              out.begin() + static_cast<std::ptrdiff_t>(b));
-    return;
-  }
-  detail::convolve_same_gather(x.data(), x.size(), h.data(), h.size(),
-                               out.data() + b, b, e);
+  convolve_same_window(x, h, b, std::span(out).subspan(b, e - b));
 }
 
 void convolve_same_into(std::span<const cplx> x, std::span<const cplx> h,

@@ -44,6 +44,15 @@ cvec convolve_same(std::span<const cplx> x, std::span<const cplx> h);
 cvec convolve_same_range(std::span<const cplx> x, std::span<const cplx> h,
                          std::size_t begin, std::size_t end);
 
+/// Windowed "same"-length convolution into a window-sized span:
+/// out[j] = convolve_same(x, h)[begin + j] for j < len(out), bit-identical
+/// to the full convolution. The window must lie inside x. In the
+/// short-kernel regime each output depends only on its own index, so a long
+/// window can be produced tile by tile into a cache-sized buffer; FFT-length
+/// kernels compute the whole convolution and copy the window out.
+void convolve_same_window(std::span<const cplx> x, std::span<const cplx> h,
+                          std::size_t begin, std::span<cplx> out);
+
 /// As convolve_same_range, but writing into a reusable caller buffer (sized
 /// to len(x)). Only the window [begin, end) is written — samples outside it
 /// are left with unspecified (stale) contents, so callers must not read

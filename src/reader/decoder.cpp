@@ -253,7 +253,13 @@ decode_result backfi_decoder::decode_with_scratch(
   int best_offset = 0;
   double best_score = -1.0;
   cplx best_reference{1.0, 0.0};
-  std::size_t window_begin = 0;  // absolute index of scratch.products[0]
+  const std::size_t n_sync = sync_labels.size();
+  std::size_t search_used = 0;  // the last attempt's timing search
+  // The sync-word estimates at candidate offset index o (offset o - search).
+  const auto sync_row = [&](std::size_t o) {
+    return std::span<const cplx>(scratch.sync_estimates)
+        .subspan(o * n_sync, n_sync);
+  };
   double search_width = static_cast<double>(std::max(config_.timing_search, 0));
   obs::timing_span sync_span(config_.collector, "reader.sync_scan");
   for (std::size_t attempt = 0; attempt <= config_.sync_retries; ++attempt,
@@ -291,27 +297,32 @@ decode_result backfi_decoder::decode_with_scratch(
       return result;
     }
     result.h_fb.assign(scratch.h_fb.begin(), scratch.h_fb.end());
-    // Expected unmodulated backscatter — only over the window the MRC
-    // stages below actually read (`fits` bounds it inside the capture).
-    // `mrc_precompute` then folds y * conj(yhat) and |yhat|^2 into scratch
-    // once per attempt, so each of the 2*search+1 candidate offsets below
-    // is just contiguous sums over those buffers.
-    window_begin = sync_begin - static_cast<std::size_t>(search);
-    const std::size_t window_end =
-        data_begin + n_payload_symbols * sps + static_cast<std::size_t>(search);
-    dsp::convolve_same_range_into(x, result.h_fb, window_begin, window_end,
-                                  scratch.yhat, scratch.stats);
-    mrc_precompute(y, scratch.yhat, window_begin, window_end, scratch.products,
+    // Expected unmodulated backscatter over the sync window alone: the
+    // sync symbols at every candidate offset, [sync_begin - search,
+    // data_begin + search). `mrc_terms_into` folds y * conj(yhat) and
+    // |yhat|^2 into scratch once per attempt, so each of the 2*search+1
+    // candidate offsets below is just contiguous sums over those buffers.
+    // The payload is combined only once sync is found (below).
+    search_used = static_cast<std::size_t>(search);
+    const std::size_t window_begin = sync_begin - search_used;
+    const std::size_t window_len = data_begin + search_used - window_begin;
+    dsp::acquire(scratch.yhat, window_len, scratch.stats);
+    dsp::convolve_same_window(x, result.h_fb, window_begin, scratch.yhat);
+    mrc_terms_into(y, scratch.yhat, window_begin, scratch.products,
                    scratch.weights, scratch.stats);
-    dsp::acquire(scratch.sync_estimates, sync_labels.size(), scratch.stats);
+    if (config_.collector != nullptr)
+      config_.collector->observe_named(
+          "runtime.reader.sync_scan.samples_beyond_search",
+          static_cast<double>(window_len - 2 * search_used), 0.0, 1e6);
+    const std::size_t n_offsets = 2 * search_used + 1;
+    dsp::acquire(scratch.sync_estimates, n_offsets * n_sync, scratch.stats);
+    mrc_offset_estimates(scratch.products, scratch.weights, window_begin,
+                         y.size(), window_begin, n_offsets, sps, n_sync, guard,
+                         scratch.sync_estimates);
 
     for (int offset = -search; offset <= search; ++offset) {
-      const std::size_t start = sync_begin + static_cast<std::size_t>(
-                                    static_cast<std::ptrdiff_t>(offset));
-      mrc_symbol_estimates_from_products(
-          scratch.products, scratch.weights, window_begin, y.size(), start,
-          sps, sync_labels.size(), guard, scratch.sync_estimates);
-      const std::span<const cplx> m(scratch.sync_estimates);
+      const std::span<const cplx> m =
+          sync_row(static_cast<std::size_t>(offset + search));
       cplx corr{0.0, 0.0};
       double energy = 0.0;
       for (std::size_t i = 0; i < m.size(); ++i) {
@@ -348,16 +359,14 @@ decode_result backfi_decoder::decode_with_scratch(
       std::abs(best_reference) > 1e-12 ? best_reference : cplx{1.0, 0.0};
 
   // --- 3. Noise variance from the corrected sync symbols ---
-  const std::size_t sync_start_best =
-      sync_begin + static_cast<std::size_t>(
-                       static_cast<std::ptrdiff_t>(best_offset));
+  // A found sync always comes from the last attempt (an earlier attempt
+  // that reached the threshold would have ended the loop), so the best
+  // offset's estimates are still in scratch.
   double noise_var = 0.0;
   {
-    mrc_symbol_estimates_from_products(
-        scratch.products, scratch.weights, window_begin, y.size(),
-        sync_start_best, sps, sync_labels.size(), guard,
-        scratch.sync_estimates);
-    const std::span<const cplx> m(scratch.sync_estimates);
+    const std::span<const cplx> m = sync_row(
+        static_cast<std::size_t>(static_cast<std::ptrdiff_t>(best_offset) +
+                                 static_cast<std::ptrdiff_t>(search_used)));
     for (std::size_t i = 0; i < m.size(); ++i)
       noise_var += std::norm(m[i] / correction - sync_points[i]);
     noise_var /= static_cast<double>(m.size());
@@ -373,9 +382,9 @@ decode_result backfi_decoder::decode_with_scratch(
                        static_cast<std::ptrdiff_t>(best_offset));
   obs::timing_span mrc_span(config_.collector, "reader.mrc");
   cvec symbols(n_payload_symbols);
-  mrc_symbol_estimates_from_products(scratch.products, scratch.weights,
-                                     window_begin, y.size(), data_start_best,
-                                     sps, n_payload_symbols, guard, symbols);
+  mrc_payload_estimates(x, result.h_fb, y, data_start_best, sps,
+                        n_payload_symbols, guard, scratch.yhat_tile, symbols,
+                        mrc_tile_samples, scratch.stats);
   for (cplx& m : symbols) m /= correction;
   mrc_span.stop();
 

@@ -128,10 +128,11 @@ struct decode_result {
 /// thread; contents are scratch only (no decode state carries across calls).
 /// `stats`, when non-null, accumulates buffer reuse-vs-allocation bytes.
 struct decoder_scratch {
-  cvec yhat;                    ///< windowed expected backscatter
-  cvec products;                ///< y * conj(yhat) over the sync/data window
+  cvec yhat;                    ///< expected backscatter over the sync window
+  cvec products;                ///< y * conj(yhat) over the sync window
   std::vector<double> weights;  ///< |yhat|^2 over the same window
-  cvec sync_estimates;          ///< per-offset sync-word MRC outputs
+  cvec sync_estimates;          ///< sync-word MRC outputs, offset-major
+  cvec yhat_tile;               ///< the payload pass's yhat tile
   dsp::fir_ls_workspace ls;     ///< Gram/RHS buffers for the h_fb estimate
   cvec h_fb;                    ///< reusable h_fb taps (copied into results)
   std::vector<double> soft;     ///< demapped LLRs (payload coded bits)

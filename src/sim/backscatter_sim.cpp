@@ -19,6 +19,10 @@ namespace backfi::sim {
 
 namespace {
 constexpr std::size_t samples_per_us = 20;
+// Received samples synthesized per tile: the tile's incident, reflected and
+// backscatter buffers (64 KiB each) stay in L2 next to the x and rx slices
+// they read and write.
+constexpr std::size_t synthesis_tile_samples = 4096;
 }  // namespace
 
 const char* to_string(config_error error) {
@@ -181,14 +185,19 @@ trial_result run_backscatter_trial(const scenario_config& config,
   const std::size_t n = ex.samples.size();
   const std::size_t wake_window =
       std::min<std::size_t>((ex_cfg.wake_bits + 4) * samples_per_us, n);
-  dsp::convolve_same_range_into(ex.samples, channels.h_f, 0, wake_window,
-                                ws.incident, &ws.stats);
+  // ws.incident, ws.reflected and ws.backscatter are tile buffers: one tile
+  // plus the h_b history the reflection convolution reaches back over (the
+  // incident buffer first holds the wake window).
+  const std::size_t reflected_history = channels.h_b.size() - 1;
+  const std::size_t tile_span = synthesis_tile_samples + reflected_history;
+  dsp::acquire(ws.incident, std::max(wake_window, tile_span), &ws.stats);
+  dsp::convolve_same_window(ex.samples, channels.h_f, 0,
+                            std::span(ws.incident).first(wake_window));
   forward_span.stop();
   obs::timing_span modulate_span(c, "tag.modulate");
-  const cvec& incident = ws.incident;
   const double incident_dbm =
       channel::incident_power_at_tag_dbm(config.budget, config.tag_distance_m);
-  const auto wake = tag::detect_wake(std::span(incident).first(wake_window),
+  const auto wake = tag::detect_wake(std::span(ws.incident).first(wake_window),
                                      ex.wake_preamble, incident_dbm);
   result.woke = wake.woke;
   if (!wake.woke) {
@@ -225,6 +234,10 @@ trial_result run_backscatter_trial(const scenario_config& config,
   modulate_span.stop();
 
   // --- The reader: one-packet stream session over the capture ---
+  // "sim.session" times the session's set-up here, the result bookkeeping
+  // after it has run and, being declared before it, its teardown: the trial
+  // body outside the synthesis, chain and decoder stages.
+  obs::timing_span session_span(c, "sim.session");
   // The reader adapts over its nominal silent window: the tag stays silent
   // until (at least) wake_end + silent, so [wake_end, wake_end + silent) is
   // guaranteed backscatter-free. This is the first 16 us of the PPDU.
@@ -319,6 +332,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
     x_reads[x_count++] = widened(r.begin, r.end, x_history);
   x_reads[x_count++] = widened(tag_tx.data_start, tag_tx.data_end, fb_history);
   if (faults.any_post_cancellation()) x_reads[x_count++] = {0, n};
+  session_span.pause();
   excitation_span.resume();
   const std::size_t symbols_modulated = reader::modulate_excitation_into(
       ex_cfg, std::span(x_reads.data(), x_count), ws.ex);
@@ -326,27 +340,49 @@ trial_result run_backscatter_trial(const scenario_config& config,
   if (c != nullptr)
     c->set_gauge("runtime.reader.excitation_symbols_modulated",
                  static_cast<double>(symbols_modulated));
+  // The received signal above, one tile of each read range at a time, with
+  // the noise key drawn where a whole-range add_awgn would draw it (nothing
+  // uses the generator in between). A convolution output depends only on
+  // its own index, so tiles are bit-identical to a whole-range synthesis:
+  // the reflected tile starts h_b's history before the tile (clipped at
+  // sample 0, where the whole-range convolution clips too). The two spans
+  // stay separate stages, resumed per tile.
   obs::timing_span backscatter_span(c, "channel.backscatter");
-  dsp::acquire(ws.reflected, n, &ws.stats);
-  const std::size_t history = channels.h_b.size() - 1;
-  for (const dsp::sample_range& r : reads.span()) {
-    const std::size_t lo = r.begin > history ? r.begin - history : 0;
-    dsp::convolve_same_range_into(ex.samples, channels.h_f,
-                                  std::max(lo, wake_window), r.end,
-                                  ws.incident, &ws.stats);
-    for (std::size_t i = lo; i < r.end; ++i)
-      ws.reflected[i] = incident[i] * tag_tx.reflection[i];
-    dsp::convolve_same_range_into(ws.reflected, channels.h_b, r.begin, r.end,
-                                  ws.backscatter, &ws.stats);
-    dsp::convolve_same_range_into(ex.samples, channels.h_env, r.begin, r.end,
-                                  rx, &ws.stats);
-    dsp::add_in_place(std::span(rx).subspan(r.begin, r.size()),
-                      std::span<const cplx>(ws.backscatter)
-                          .subspan(r.begin, r.size()));
-  }
-  backscatter_span.stop();
+  backscatter_span.pause();
   obs::timing_span noise_span(c, "sim.noise");
-  channel::add_awgn(rx, channels.noise_power, gen, reads.span());
+  const channel::awgn_stream noise =
+      channel::draw_awgn_stream(channels.noise_power, n, gen);
+  noise_span.pause();
+  dsp::acquire(ws.reflected, tile_span, &ws.stats);
+  dsp::acquire(ws.backscatter, synthesis_tile_samples, &ws.stats);
+  for (const dsp::sample_range& r : reads.span())
+    for (std::size_t t0 = r.begin; t0 < r.end; t0 += synthesis_tile_samples) {
+      const std::size_t len = std::min(r.end - t0, synthesis_tile_samples);
+      const std::size_t lo =
+          t0 > reflected_history ? t0 - reflected_history : 0;
+      const std::size_t n_reflected = t0 + len - lo;
+      backscatter_span.resume();
+      const std::span<cplx> incident_tile =
+          std::span(ws.incident).first(n_reflected);
+      const std::span<cplx> reflected_tile =
+          std::span(ws.reflected).first(n_reflected);
+      const std::span<cplx> backscatter_tile =
+          std::span(ws.backscatter).first(len);
+      const std::span<cplx> rx_tile = std::span(rx).subspan(t0, len);
+      dsp::convolve_same_window(ex.samples, channels.h_f, lo, incident_tile);
+      for (std::size_t i = 0; i < n_reflected; ++i)
+        reflected_tile[i] = incident_tile[i] * tag_tx.reflection[lo + i];
+      dsp::convolve_same_window(reflected_tile, channels.h_b, t0 - lo,
+                                backscatter_tile);
+      dsp::convolve_same_window(ex.samples, channels.h_env, t0, rx_tile);
+      dsp::add_in_place(rx_tile, backscatter_tile);
+      backscatter_span.pause();
+      noise_span.resume();
+      channel::add_awgn(rx_tile, noise, t0);
+      noise_span.pause();
+    }
+  backscatter_span.stop();
+  noise_span.resume();
   faults.apply_at_antenna(rx);
   noise_span.stop();
   if (c != nullptr) {
@@ -358,6 +394,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
 
   // --- Self-interference cancellation + BackFi decoding ---
   session.finish();
+  session_span.resume();
   const reader::stream_packet_result& packet_result = session.results().front();
   const fd::receive_chain_result& chain = packet_result.chain;
   result.cancellation_bypassed = chain.cancellation_bypassed;
@@ -385,6 +422,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
     result.bit_errors = phy::hamming_distance(decoded.payload, payload);
     obs::count(c, obs::probe::bit_errors, result.bit_errors);
   }
+  session_span.pause();
 
   // Raw (pre-Viterbi) symbol errors for the Fig. 11b BER analysis, counted
   // from the decoder's own hard decisions on the stored symbol estimates.
@@ -419,6 +457,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
       device.samples_per_symbol(), guard, tag_tx.data_start, tag_tx.data_end,
       ws.oracle_yhat, &ws.stats);
   oracle_span.stop();
+  session_span.resume();
   obs::observe(c, obs::probe::expected_snr_db, result.link.expected_snr_db);
 
   // --- Throughput accounting ---

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -28,13 +29,14 @@ struct exchange {
 };
 
 exchange make_exchange(const tag::tag_config& tag_cfg, std::size_t payload_bits,
-                       double noise_db, int jitter, std::uint64_t seed) {
+                       double noise_db, int jitter, std::uint64_t seed,
+                       std::size_t n_ppdus = 2) {
   dsp::rng gen(seed);
   exchange ex;
   excitation_config ex_cfg;
   ex_cfg.tag_id = tag_cfg.id;
   ex_cfg.ppdu_bytes = 4000;
-  ex_cfg.n_ppdus = 2;
+  ex_cfg.n_ppdus = n_ppdus;
   ex_cfg.payload_seed = seed;
   const excitation e = build_excitation(ex_cfg);
   ex.x = e.samples;
@@ -346,6 +348,105 @@ TEST(DecoderTest, ScratchDecodeBitIdenticalToAllocatingDecode) {
   decoder.decode(ex.x, ex.y, ex.nominal, 300, &scratch);
   EXPECT_EQ(stats.bytes_allocated, allocated);
   EXPECT_GT(stats.bytes_reused, 0u);
+}
+
+// FNV-1a over the raw bytes of a buffer: pins bulk decoder outputs (every
+// symbol estimate, label and payload bit) to the bit in one literal.
+template <typename T>
+std::uint64_t fnv1a(const std::vector<T>& v) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* b = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Long-symbol decodes, pinned to the values the decoder produced before its
+// timing scan moved to the sync window and its payload MRC to one fused
+// tiled pass: both changes must leave every output bit-identical.
+struct pinned_decode {
+  const char* name;
+  double symbol_rate_hz;
+  std::size_t sync_symbols;
+  std::size_t payload_bits;
+  double noise_db;
+  int jitter;
+  std::uint64_t seed;
+  std::size_t n_ppdus;
+  // The decode_result, pinned.
+  decode_failure failure;
+  std::size_t sync_attempts;
+  int timing_offset;
+  double sync_correlation;
+  double post_mrc_snr_db;
+  double evm_rms;
+  std::uint64_t estimates_fnv;
+  std::uint64_t labels_fnv;
+  std::uint64_t payload_fnv;
+};
+
+TEST(DecoderPinTest, LongSymbolDecodesMatchPinnedResults) {
+  const pinned_decode pins[] = {
+      // 100 kHz (200 samples per symbol), found on the first scan.
+      {"100k", 100e3, 8, 200, -112.0, 5, 31, 3, decode_failure::none, 1, 4,
+       0x1.fff2c234d9f1fp-1, 0x1.278ef7aa33d9fp+5, 0x1.40abee7b5f0d3p-6,
+       0xf901f9b1dfff2bffull, 0xa67e9d8806855233ull, 0xc72b9cd3792655b4ull},
+      // Wake 150 samples late: the first +-24 scan stays under the
+      // threshold, the widened +-72 retry finds it.
+      {"100k_retry", 100e3, 8, 200, -100.0, 150, 40, 8, decode_failure::none,
+       2, 72,
+       0x1.aa4364787531cp-1, 0x1.c4f22dea7f4e8p+1, 0x1.7c407a404ff24p-1,
+       0xc9e23bddd1a2ba08ull, 0x85dd5e4014b7f222ull, 0x0c13a112603301adull},
+      // 10 kHz (2000 samples per symbol).
+      {"10k", 10e3, 4, 16, -112.0, 5, 33, 8, decode_failure::none, 1, 7,
+       0x1.ffff8cf34209bp-1, 0x1.9d1b46f5c81b4p+5, 0x1.90f7fa25750d4p-8,
+       0xc39fd5a0ec67adc8ull, 0x3b2b6e0afc8469b3ull, 0x4ecb173042f37400ull},
+      // Buried in noise: both scans fail.
+      {"100k_no_sync", 100e3, 8, 200, -60.0, 5, 35, 8,
+       decode_failure::sync_not_found, 2, -62,
+       0x1.11f1949f760d6p-1, 0x0p+0, 0x0p+0,
+       0x14650fb0739d0383ull, 0x14650fb0739d0383ull, 0x14650fb0739d0383ull},
+      {"10k_no_sync", 10e3, 4, 16, -60.0, 5, 37, 8,
+       decode_failure::sync_not_found, 2, 21,
+       0x1.3a95d2aa69459p-2, 0x0p+0, 0x0p+0,
+       0x14650fb0739d0383ull, 0x14650fb0739d0383ull, 0x14650fb0739d0383ull},
+  };
+  for (const pinned_decode& pin : pins) {
+    tag::tag_config cfg = default_tag();
+    cfg.rate.symbol_rate_hz = pin.symbol_rate_hz;
+    cfg.sync_symbols = pin.sync_symbols;
+    const auto ex = make_exchange(cfg, pin.payload_bits, pin.noise_db,
+                                  pin.jitter, pin.seed, pin.n_ppdus);
+    const backfi_decoder decoder(cfg);
+    decoder_scratch scratch;
+    const decode_result r =
+        decoder.decode(ex.x, ex.y, ex.nominal, pin.payload_bits, &scratch);
+    std::vector<std::uint8_t> payload(r.payload.begin(), r.payload.end());
+    const bool match =
+        r.failure == pin.failure && r.sync_attempts == pin.sync_attempts &&
+        r.timing_offset == pin.timing_offset &&
+        r.sync_correlation == pin.sync_correlation &&
+        r.post_mrc_snr_db == pin.post_mrc_snr_db && r.evm_rms == pin.evm_rms &&
+        fnv1a(r.symbol_estimates) == pin.estimates_fnv &&
+        fnv1a(r.symbol_labels) == pin.labels_fnv &&
+        fnv1a(payload) == pin.payload_fnv;
+    if (!match) {
+      char row[512];
+      std::snprintf(row, sizeof row,
+                    "%s: failure %s, attempts %zu, offset %d, corr %a, snr "
+                    "%a, evm %a, estimates 0x%llxull, labels 0x%llxull, "
+                    "payload 0x%llxull",
+                    pin.name, to_string(r.failure), r.sync_attempts,
+                    r.timing_offset, r.sync_correlation, r.post_mrc_snr_db,
+                    r.evm_rms,
+                    static_cast<unsigned long long>(fnv1a(r.symbol_estimates)),
+                    static_cast<unsigned long long>(fnv1a(r.symbol_labels)),
+                    static_cast<unsigned long long>(fnv1a(payload)));
+      ADD_FAILURE() << row;
+    }
+  }
 }
 
 TEST(DecoderValidate, FirstViolationIsTypedAndCtorThrows) {

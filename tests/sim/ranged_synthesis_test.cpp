@@ -17,6 +17,7 @@
 #include "channel/awgn.h"
 #include "dsp/math_util.h"
 #include "dsp/vec_ops.h"
+#include "obs/collector.h"
 #include "phy/constellation.h"
 #include "phy/convolutional.h"
 #include "reader/stream_session.h"
@@ -226,6 +227,48 @@ TEST(RangedSynthesisTest, FaultClassesMatchFullSynthesisReference) {
                                ", seed " + std::to_string(seed);
       expect_same_trial(run_backscatter_trial(cfg), reference_trial(cfg, true),
                         what);
+    }
+  }
+}
+
+// Long packets synthesize their read ranges in many tiles: at 100 kHz and
+// 10 kHz the read window spans tens of tiles, each range ends in a partial
+// tile, and the antenna-domain faults read the whole capture, a range that
+// starts at sample 0 (where the reflected tile's h_b history is clipped).
+// Every field must still equal the whole-capture reference.
+TEST(RangedSynthesisTest, LongPacketTilesMatchFullSynthesisReference) {
+  const tag::tag_rate_config long_rates[] = {
+      {tag::tag_modulation::qpsk, phy::code_rate::half, 100e3},
+      {tag::tag_modulation::bpsk, phy::code_rate::half, 10e3},
+  };
+  for (const auto& rate : long_rates) {
+    for (const double d : {2.0, 7.0}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        scenario_config cfg = fig08_point(d, 32, rate, seed);
+        obs::collector c;
+        cfg.collector = &c;
+        const trial_result tiled = run_backscatter_trial(cfg);
+        cfg.collector = nullptr;
+        const std::string what = std::to_string(rate.symbol_rate_hz) +
+                                 " Hz, " + std::to_string(d) + " m, seed " +
+                                 std::to_string(seed);
+        expect_same_trial(tiled, reference_trial(cfg, true), what);
+        if (!tiled.woke) continue;
+        const auto& gauges = c.registry().gauges();
+        const auto it = gauges.find("runtime.sim.rx_samples_synthesized");
+        ASSERT_NE(it, gauges.end()) << what;
+        EXPECT_GT(it->second.value, 8.0 * 4096) << what;
+      }
+    }
+    for (const impair::fault_class fault :
+         {impair::fault_class::adc_saturation_bursts,
+          impair::fault_class::wifi_interferer}) {
+      scenario_config cfg = fig08_point(2.0, 32, rate, 1);
+      cfg.impairments = impair::plan_for(fault, 1.0, 1);
+      ASSERT_TRUE(cfg.impairments.any_at_antenna());
+      expect_same_trial(run_backscatter_trial(cfg), reference_trial(cfg, true),
+                        std::string(impair::fault_class_name(fault)) + ", " +
+                            std::to_string(rate.symbol_rate_hz) + " Hz");
     }
   }
 }
