@@ -1,11 +1,10 @@
 // perf_kernels: the DSP/performance-layer benchmark.
 //
-// Part 1 prints a speedup summary comparing every fast path against the
-// implementation it replaced (FFT plan vs per-call twiddle recurrence,
-// overlap-save vs direct convolution/correlation) and the thread scaling
-// of packet_error_rate, including the bit-identity check that the parallel
-// result equals the serial one. Part 2 runs google-benchmark timings and
-// writes BENCH_dsp.json (override with --benchmark_out=FILE) so the perf
+// Part 1 prints the thread scaling of packet_error_rate, including the
+// bit-identity check that the parallel result equals the serial one.
+// Part 2 runs google-benchmark timings of the DSP kernels the trial runs
+// (FFT plan, windowed convolution) and of whole trials, and writes
+// BENCH_dsp.json (override with --benchmark_out=FILE) so the perf
 // trajectory of the DSP layer is recorded per build.
 #include <benchmark/benchmark.h>
 
@@ -17,8 +16,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "dsp/correlation.h"
-#include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/fir.h"
 #include "dsp/rng.h"
@@ -58,62 +55,10 @@ sim::scenario_config per_scaling_config() {
 }
 
 int print_speedup_summary() {
-  bench::print_header("perf_kernels",
-                      "fast paths vs reference implementations");
+  bench::print_header("perf_kernels", "sweep thread scaling");
   bench::telemetry_session telemetry("perf");
   std::printf("host: hardware_concurrency=%u, threads=%zu\n",
               std::thread::hardware_concurrency(), sim::thread_count());
-
-  {  // FFT: cached plan vs the seed's per-call twiddle recurrence.
-    for (const std::size_t n : {std::size_t{64}, std::size_t{4096}}) {
-      const cvec base = random_vector(n, 11);
-      cvec buf = base;
-      const int iters = n <= 64 ? 2000 : 64;
-      const dsp::fft_plan& plan = dsp::get_fft_plan(n, dsp::fft_direction::forward);
-      const double t_ref = median_seconds(
-          [&] {
-            for (int i = 0; i < iters; ++i) {
-              buf = base;
-              dsp::fft_in_place_reference(buf);
-              benchmark::DoNotOptimize(buf.data());
-            }
-          },
-          9);
-      const double t_plan = median_seconds(
-          [&] {
-            for (int i = 0; i < iters; ++i) {
-              buf = base;
-              plan.execute(buf);
-              benchmark::DoNotOptimize(buf.data());
-            }
-          },
-          9);
-      std::printf("fft %5zu-pt:   reference %9.2f us   plan %9.2f us   speedup %5.2fx\n",
-                  n, t_ref / iters * 1e6, t_plan / iters * 1e6, t_ref / t_plan);
-    }
-  }
-
-  {  // Convolution: overlap-save vs direct, 64k samples x 512 taps.
-    const cvec x = random_vector(1 << 16, 21);
-    const cvec h = random_vector(512, 22);
-    const double t_direct =
-        median_seconds([&] { benchmark::DoNotOptimize(dsp::convolve_direct(x, h).data()); }, 3);
-    const double t_fft = median_seconds(
-        [&] { benchmark::DoNotOptimize(dsp::convolve_overlap_save(x, h).data()); }, 5);
-    std::printf("convolve 64k x 512:   direct %8.2f ms   overlap-save %8.2f ms   speedup %5.1fx\n",
-                t_direct * 1e3, t_fft * 1e3, t_direct / t_fft);
-  }
-
-  {  // Cross-correlation: FFT path vs direct, 64k samples x 512-tap ref.
-    const cvec sig = random_vector(1 << 16, 31);
-    const cvec ref = random_vector(512, 32);
-    const double t_direct = median_seconds(
-        [&] { benchmark::DoNotOptimize(dsp::cross_correlate_direct(sig, ref).data()); }, 3);
-    const double t_fft = median_seconds(
-        [&] { benchmark::DoNotOptimize(dsp::cross_correlate(sig, ref).data()); }, 5);
-    std::printf("xcorr    64k x 512:   direct %8.2f ms   fft          %8.2f ms   speedup %5.1fx\n",
-                t_direct * 1e3, t_fft * 1e3, t_direct / t_fft);
-  }
 
   {  // packet_error_rate thread scaling + bit-identity.
     sim::scenario_config cfg = per_scaling_config();
@@ -152,18 +97,6 @@ int print_speedup_summary() {
 
 // --- google-benchmark timings (recorded in BENCH_dsp.json) ---
 
-void bm_fft_reference(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const cvec base = random_vector(n, 3);
-  cvec buf = base;
-  for (auto _ : state) {
-    buf = base;
-    dsp::fft_in_place_reference(buf);
-    benchmark::DoNotOptimize(buf.data());
-  }
-}
-BENCHMARK(bm_fft_reference)->Arg(64)->Arg(4096)->Unit(benchmark::kMicrosecond);
-
 void bm_fft_plan(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const cvec base = random_vector(n, 3);
@@ -177,38 +110,19 @@ void bm_fft_plan(benchmark::State& state) {
 }
 BENCHMARK(bm_fft_plan)->Arg(64)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
-void bm_convolve_direct(benchmark::State& state) {
+void bm_convolve_same_window(benchmark::State& state) {
+  // The synthesis and canceller configuration: short taps, one 4096-sample
+  // tile of a long capture.
   const cvec x = random_vector(1 << 16, 5);
-  const cvec h = random_vector(512, 6);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dsp::convolve_direct(x, h).data());
+  const cvec h = random_vector(static_cast<std::size_t>(state.range(0)), 6);
+  cvec out(4096);
+  for (auto _ : state) {
+    dsp::convolve_same_window(x, h, 1 << 14, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
 }
-BENCHMARK(bm_convolve_direct)->Unit(benchmark::kMillisecond);
-
-void bm_convolve_overlap_save(benchmark::State& state) {
-  const cvec x = random_vector(1 << 16, 5);
-  const cvec h = random_vector(512, 6);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dsp::convolve_overlap_save(x, h).data());
-}
-BENCHMARK(bm_convolve_overlap_save)->Unit(benchmark::kMillisecond);
-
-void bm_cross_correlate_fft(benchmark::State& state) {
-  const cvec sig = random_vector(1 << 16, 7);
-  const cvec ref = random_vector(512, 8);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dsp::cross_correlate(sig, ref).data());
-}
-BENCHMARK(bm_cross_correlate_fft)->Unit(benchmark::kMillisecond);
-
-void bm_fir_filter_8taps(benchmark::State& state) {
-  // The canceller's streaming configuration: short taps, long blocks.
-  dsp::fir_filter filter(random_vector(8, 9));
-  const cvec block = random_vector(1 << 14, 10);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(filter.process(block).data());
-}
-BENCHMARK(bm_fir_filter_8taps)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_convolve_same_window)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void bm_backscatter_trial(benchmark::State& state) {
   sim::scenario_config cfg = per_scaling_config();

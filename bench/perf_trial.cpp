@@ -253,12 +253,9 @@ int main(int argc, char** argv) {
               symbols_modulated, data_symbols,
               excitation_ranged ? "yes" : "NO — RANGED EXCITATION REGRESSED");
 
-  // FIR least-squares size dispatch (process-wide, cumulative): the
-  // scenario's 5-8-tap fits over long windows should all land on the
-  // bit-exact vectorized build (correlation form is reserved for >=12-tap
-  // filters). A drift toward scalar here means the dispatch thresholds (or
-  // a caller's window geometry) regressed even if the stage means still
-  // pass.
+  // FIR least-squares builds (process-wide, cumulative). Every fit runs the
+  // one vectorized builder; the scalar and correlation fields are kept for
+  // the JSON's readers and always read 0.
   const dsp::fir_ls_counts ls_counts = dsp::fir_ls_dispatch_counts();
   std::printf("fir_ls:    %llu correlation / %llu vectorized / %llu scalar "
               "fits\n",

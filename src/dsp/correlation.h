@@ -1,10 +1,6 @@
 // Cross-correlation primitives used for packet detection and symbol timing.
-//
-// cross_correlate and normalized_correlation share the convolution layer's
-// size dispatch: references shorter than fft_convolve_min_taps (every
-// in-simulation sync pattern) run the exact direct loop, longer references
-// run as an FFT overlap-save convolution against the conjugate-reversed
-// reference.
+// Every in-simulation reference is a short sync pattern, so the sliding
+// correlation is the direct loop.
 #pragma once
 
 #include <cstddef>
@@ -18,11 +14,6 @@ namespace backfi::dsp {
 /// out[n] = sum_k signal[n+k] * conj(reference[k]),
 /// for n in [0, len(signal) - len(reference)].
 cvec cross_correlate(std::span<const cplx> signal, std::span<const cplx> reference);
-
-/// Direct O(N*M) sliding correlation (the short-reference path; exposed for
-/// equivalence tests and perf baselines).
-cvec cross_correlate_direct(std::span<const cplx> signal,
-                            std::span<const cplx> reference);
 
 /// How often normalized_correlation recomputes its sliding window energy
 /// exactly instead of updating it incrementally. The incremental update
@@ -39,18 +30,6 @@ inline constexpr std::size_t normalized_correlation_refresh_interval = 4096;
 /// |<s, r>| / (||s_window|| * ||r||), same indexing as cross_correlate.
 rvec normalized_correlation(std::span<const cplx> signal,
                             std::span<const cplx> reference);
-
-/// Result of a correlation-peak search.
-struct peak_result {
-  std::size_t index = 0;   ///< offset of the peak within the search range
-  double value = 0.0;      ///< normalized correlation value at the peak
-  bool found = false;      ///< true if the peak exceeded the threshold
-};
-
-/// Find the first normalized-correlation peak above `threshold`.
-peak_result find_correlation_peak(std::span<const cplx> signal,
-                                  std::span<const cplx> reference,
-                                  double threshold);
 
 /// Schmidl-Cox style delayed autocorrelation metric with lag L over window L:
 /// m[n] = |sum_{k<L} s[n+k] conj(s[n+k+L])| / sum_{k<L} |s[n+k+L]|^2.

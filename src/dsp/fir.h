@@ -1,9 +1,9 @@
-// Linear convolution and streaming FIR filtering.
+// Linear convolution and its windowed "same"-length forms.
 //
-// Channels in BackFi are short (a handful of 50 ns taps), so those stay on
-// the direct-form loop. Long kernels — wideband channel soundings, matched
-// filters over whole captures — dispatch to an FFT overlap-save path that
-// turns O(N*M) into O(N log M).
+// Channels in BackFi are short (a handful of 50 ns taps), and so is every
+// kernel the simulator convolves with, so there is one implementation: the
+// direct-form loop, whose windowed forms (dsp/fir_kernels.h) let a caller
+// compute only the output samples it reads.
 #pragma once
 
 #include <cstddef>
@@ -14,49 +14,27 @@
 
 namespace backfi::dsp {
 
-/// Kernel length at which convolve/cross_correlate switch from the direct
-/// loop to the FFT overlap-save path. Everything the in-simulation signal
-/// chain convolves (multipath taps, canceller taps, the 64-sample LTF
-/// reference) sits well below this, so simulation outputs are bit-identical
-/// to the pre-dispatch direct implementation.
-inline constexpr std::size_t fft_convolve_min_taps = 96;
-
-/// Full linear convolution: output length = len(x) + len(h) - 1.
-/// Dispatches on min(len(x), len(h)) between the two paths below.
+/// Full linear convolution: output length = len(x) + len(h) - 1, empty when
+/// either operand is.
 cvec convolve(std::span<const cplx> x, std::span<const cplx> h);
-
-/// Direct-form O(len(x) * len(h)) convolution (the short-kernel path;
-/// exposed for equivalence tests and perf baselines).
-cvec convolve_direct(std::span<const cplx> x, std::span<const cplx> h);
-
-/// FFT overlap-save convolution. Same output as convolve_direct to within
-/// FFT rounding (~1e-12 relative for unit-scale inputs).
-cvec convolve_overlap_save(std::span<const cplx> x, std::span<const cplx> h);
 
 /// "Same"-length convolution: output length = len(x), aligned so that
 /// h[0] multiplies x[n] (i.e. the filter is causal, output truncated).
 cvec convolve_same(std::span<const cplx> x, std::span<const cplx> h);
 
-/// Windowed "same"-length convolution: returns a len(x) vector whose samples
-/// in [begin, end) (clamped to len(x)) are bit-identical to convolve_same at
-/// the same indices and zero elsewhere. Cost is proportional to the window,
-/// not the capture, in the short-kernel regime.
-cvec convolve_same_range(std::span<const cplx> x, std::span<const cplx> h,
-                         std::size_t begin, std::size_t end);
-
 /// Windowed "same"-length convolution into a window-sized span:
 /// out[j] = convolve_same(x, h)[begin + j] for j < len(out), bit-identical
-/// to the full convolution. The window must lie inside x. In the
-/// short-kernel regime each output depends only on its own index, so a long
-/// window can be produced tile by tile into a cache-sized buffer; FFT-length
-/// kernels compute the whole convolution and copy the window out.
+/// to the full convolution. The window must lie inside x. Each output
+/// depends only on its own index, so a long window can be produced tile by
+/// tile into a cache-sized buffer.
 void convolve_same_window(std::span<const cplx> x, std::span<const cplx> h,
                           std::size_t begin, std::span<cplx> out);
 
-/// As convolve_same_range, but writing into a reusable caller buffer (sized
-/// to len(x)). Only the window [begin, end) is written — samples outside it
-/// are left with unspecified (stale) contents, so callers must not read
-/// them. `stats`, when non-null, records buffer reuse vs. growth.
+/// convolve_same into a reusable caller buffer (sized to len(x)),
+/// restricted to the window [begin, end) (clamped to len(x)). Only the
+/// window is written — samples outside it are left with unspecified
+/// (stale) contents, so callers must not read them. `stats`, when
+/// non-null, records buffer reuse vs. growth.
 void convolve_same_range_into(std::span<const cplx> x, std::span<const cplx> h,
                               std::size_t begin, std::size_t end, cvec& out,
                               workspace_stats* stats = nullptr);
@@ -78,33 +56,12 @@ void convolve_same_subtract_into(std::span<const cplx> rx,
 /// (clamped to len(rx)): out is sized to len(rx) but only the window is
 /// written with bit-identical values — samples outside it are left with
 /// unspecified (stale) contents, so callers must not read them. Cost is
-/// proportional to the window in the short-kernel regime; FFT-length
-/// channels fall back to the full-capture sweep (still bit-identical over
-/// the window, the whole output happens to be valid then).
+/// proportional to the window.
 void convolve_same_subtract_range_into(std::span<const cplx> rx,
                                        std::span<const cplx> x,
                                        std::span<const cplx> h,
                                        std::size_t begin, std::size_t end,
                                        cvec& out,
                                        workspace_stats* stats = nullptr);
-
-/// Streaming direct-form FIR filter holding state across process() calls,
-/// used by the digital canceller which filters a packet in segments.
-class fir_filter {
- public:
-  explicit fir_filter(cvec taps);
-
-  /// Filter a block; returns same-length output, retaining tail state.
-  cvec process(std::span<const cplx> input);
-
-  /// Clear the delay line.
-  void reset();
-
-  const cvec& taps() const { return taps_; }
-
- private:
-  cvec taps_;
-  cvec history_;  // last (taps-1) inputs from previous blocks
-};
 
 }  // namespace backfi::dsp

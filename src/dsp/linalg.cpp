@@ -11,105 +11,14 @@ namespace backfi::dsp {
 
 namespace {
 
-std::atomic<std::uint64_t> g_fir_ls_scalar{0};
-std::atomic<std::uint64_t> g_fir_ls_vectorized{0};
-std::atomic<std::uint64_t> g_fir_ls_correlation{0};
-
-void note_dispatch(fir_ls_path path) {
-  switch (path) {
-    case fir_ls_path::scalar:
-      g_fir_ls_scalar.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case fir_ls_path::vectorized:
-      g_fir_ls_vectorized.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case fir_ls_path::correlation:
-      g_fir_ls_correlation.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-}
-
-// The seed Gram/RHS build, verbatim modulo writing into the raw workspace
-// buffers: this is the accumulation order every pinned anchor was produced
-// with, and the reference the kernel paths are tested against.
-void fir_normal_equations_scalar(const cplx* x, std::size_t n, const cplx* y,
-                                 std::size_t n_taps, cplx* gram, cplx* rhs,
-                                 double* col_energy) {
-  const std::size_t m = n - (n_taps - 1);
-  double acc_energy = 0.0;
-  for (std::size_t r = 0; r < m; ++r) acc_energy += std::norm(x[r + n_taps - 1]);
-  *col_energy = acc_energy;
-  for (std::size_t i = 0; i < n_taps; ++i) {
-    for (std::size_t j = i; j < n_taps; ++j) {
-      cplx acc{0.0, 0.0};
-      for (std::size_t r = 0; r < m; ++r) {
-        const std::size_t row_time = r + n_taps - 1;
-        acc += std::conj(x[row_time - i]) * x[row_time - j];
-      }
-      gram[j * n_taps + i] = acc;
-      gram[i * n_taps + j] = std::conj(acc);
-    }
-  }
-  for (std::size_t i = 0; i < n_taps; ++i) {
-    cplx acc{0.0, 0.0};
-    for (std::size_t r = 0; r < m; ++r) {
-      const std::size_t row_time = r + n_taps - 1;
-      acc += std::conj(x[row_time - i]) * y[row_time];
-    }
-    rhs[i] = acc;
-  }
-}
-
-fir_ls_path select_path(std::size_t n_taps, std::size_t m) {
-  if (n_taps >= fir_ls_correlation_min_taps &&
-      m >= fir_ls_correlation_min_window)
-    return fir_ls_path::correlation;
-  if (m >= fir_ls_vector_min_window) return fir_ls_path::vectorized;
-  return fir_ls_path::scalar;
-}
-
-void build_with_path(std::span<const cplx> x, std::span<const cplx> y,
-                     std::size_t n_taps, fir_ls_path path, fir_ls_workspace& w,
-                     workspace_stats* stats) {
-  assert(n_taps > 0);
-  const std::size_t n = std::min(x.size(), y.size());
-  if (n < n_taps) throw std::invalid_argument("estimate_fir: too few samples");
-  acquire(w.gram, n_taps * n_taps, stats);
-  acquire(w.rhs, n_taps, stats);
-  w.n_taps = n_taps;
-  w.factored = false;
-  switch (path) {
-    case fir_ls_path::scalar:
-      fir_normal_equations_scalar(x.data(), n, y.data(), n_taps, w.gram.data(),
-                                  w.rhs.data(), &w.col_energy);
-      return;
-    case fir_ls_path::vectorized:
-      detail::fir_normal_equations_vectorized(x.data(), n, y.data(), n_taps,
-                                              w.gram.data(), w.rhs.data());
-      break;
-    case fir_ls_path::correlation:
-      detail::fir_normal_equations_correlation(x.data(), n, y.data(), n_taps,
-                                               w.gram.data(), w.rhs.data());
-      break;
-  }
-  // Both kernel builds accumulate gram(0, 0) with the same products and
-  // order as the scalar column-energy sweep, so the ridge scale comes for
-  // free from the lag-0 entry.
-  w.col_energy = w.gram[0].real();
-}
+std::atomic<std::uint64_t> g_fir_ls_builds{0};
 
 }  // namespace
 
 fir_ls_counts fir_ls_dispatch_counts() {
-  return {g_fir_ls_scalar.load(std::memory_order_relaxed),
-          g_fir_ls_vectorized.load(std::memory_order_relaxed),
-          g_fir_ls_correlation.load(std::memory_order_relaxed)};
-}
-
-void reset_fir_ls_dispatch_counts() {
-  g_fir_ls_scalar.store(0, std::memory_order_relaxed);
-  g_fir_ls_vectorized.store(0, std::memory_order_relaxed);
-  g_fir_ls_correlation.store(0, std::memory_order_relaxed);
+  fir_ls_counts c;
+  c.vectorized = g_fir_ls_builds.load(std::memory_order_relaxed);
+  return c;
 }
 
 namespace detail {
@@ -149,60 +58,24 @@ void cholesky_solve_in_place(const cplx* a, std::size_t n, cplx* b) {
   }
 }
 
-void estimate_fir_least_squares_with_path(std::span<const cplx> x,
-                                          std::span<const cplx> y,
-                                          std::size_t n_taps, double ridge,
-                                          fir_ls_path path, cvec& taps,
-                                          fir_ls_workspace& w) {
-  build_with_path(x, y, n_taps, path, w, nullptr);
-  fir_ls_factor(w, ridge);
-  fir_ls_solve(w, taps);
-}
-
 }  // namespace detail
-
-cvec solve_hermitian_positive_definite(const cmatrix& a, std::span<const cplx> b) {
-  const std::size_t n = a.rows();
-  if (a.cols() != n || b.size() != n)
-    throw std::invalid_argument("solve_hpd: dimension mismatch");
-  cmatrix l = a;
-  cvec x(b.begin(), b.end());
-  detail::cholesky_factor_in_place(l.data(), n);
-  detail::cholesky_solve_in_place(l.data(), n, x.data());
-  return x;
-}
-
-cvec least_squares(const cmatrix& a, std::span<const cplx> b, double ridge) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  if (b.size() != m) throw std::invalid_argument("least_squares: dimension mismatch");
-
-  // Normal equations: (A^H A + ridge I) x = A^H b.
-  cmatrix gram(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      cplx acc{0.0, 0.0};
-      for (std::size_t r = 0; r < m; ++r) acc += std::conj(a(r, i)) * a(r, j);
-      gram(i, j) = acc;
-      gram(j, i) = std::conj(acc);
-    }
-    gram(i, i) += ridge;
-  }
-  cvec rhs(n, cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t r = 0; r < m; ++r) rhs[i] += std::conj(a(r, i)) * b[r];
-
-  return solve_hermitian_positive_definite(gram, rhs);
-}
 
 void fir_ls_build(std::span<const cplx> x, std::span<const cplx> y,
                   std::size_t n_taps, fir_ls_workspace& w,
                   workspace_stats* stats) {
   const std::size_t n = std::min(x.size(), y.size());
+  if (n_taps == 0) throw std::invalid_argument("estimate_fir: zero taps");
   if (n < n_taps) throw std::invalid_argument("estimate_fir: too few samples");
-  const fir_ls_path path = select_path(n_taps, n - (n_taps - 1));
-  note_dispatch(path);
-  build_with_path(x, y, n_taps, path, w, stats);
+  g_fir_ls_builds.fetch_add(1, std::memory_order_relaxed);
+  acquire(w.gram, n_taps * n_taps, stats);
+  acquire(w.rhs, n_taps, stats);
+  w.n_taps = n_taps;
+  w.factored = false;
+  detail::fir_normal_equations_vectorized(x.data(), n, y.data(), n_taps,
+                                          w.gram.data(), w.rhs.data());
+  // The builder accumulates gram(0, 0) with the same products and order as
+  // a separate column-energy sweep, so the ridge scale comes for free.
+  w.col_energy = w.gram[0].real();
 }
 
 void fir_ls_build_rhs(std::span<const cplx> x, std::span<const cplx> y,
@@ -270,15 +143,6 @@ void estimate_fir_least_squares_into(std::span<const cplx> x,
   fir_ls_build(x, y, n_taps, w, stats);
   fir_ls_factor(w, ridge);
   fir_ls_solve(w, taps, stats);
-}
-
-cvec estimate_fir_least_squares(std::span<const cplx> x, std::span<const cplx> y,
-                                std::size_t n_taps, double ridge) {
-  assert(n_taps > 0);
-  fir_ls_workspace w;
-  cvec taps;
-  estimate_fir_least_squares_into(x, y, n_taps, ridge, taps, w);
-  return taps;
 }
 
 }  // namespace backfi::dsp

@@ -1,81 +1,30 @@
 // Small dense complex linear algebra: just enough to solve the regularized
-// least-squares problems of channel estimation (system sizes <= a few tens).
-//
-// estimate_fir_least_squares is size-dispatched across three Gram/RHS
-// builders (see dsp/linalg_kernels.h): a scalar compat path that preserves
-// the seed accumulation order bit-exactly, a vectorized compat path that is
-// bit-identical to it (lanes run across matrix entries, never across time),
-// and a correlation-form path for wide filters that rebuilds the Toeplitz
-// Gram from base-row lags plus O(1) shift corrections per entry
-// (tolerance-equivalent; pinned anchors never reach it at in-simulation
-// tap counts).
+// least-squares FIR fits of channel estimation and self-interference
+// cancellation (5-8 taps in the simulator). The normal equations come from
+// one Gram/RHS builder (dsp/linalg_kernels.h), vectorized across matrix
+// entries while each entry's time accumulation stays in the seed order, so
+// every fit is bit-identical to the original scalar loops.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "dsp/types.h"
 #include "dsp/workspace.h"
 
 namespace backfi::dsp {
 
-/// Dense column-major complex matrix, sized at construction.
-class cmatrix {
- public:
-  cmatrix() = default;
-  cmatrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols, cplx{0.0, 0.0}) {}
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
-  cplx& operator()(std::size_t r, std::size_t c) { return data_[c * rows_ + r]; }
-  const cplx& operator()(std::size_t r, std::size_t c) const {
-    return data_[c * rows_ + r];
-  }
-
-  cplx* data() { return data_.data(); }
-  const cplx* data() const { return data_.data(); }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  cvec data_;
-};
-
-/// Solve the Hermitian positive-definite system A x = b by Cholesky
-/// factorization. Throws std::runtime_error if A is not positive definite.
-cvec solve_hermitian_positive_definite(const cmatrix& a, std::span<const cplx> b);
-
-/// Solve min_x ||A x - b||^2 + ridge * ||x||^2 via normal equations.
-/// `ridge` > 0 keeps the solve well-posed when A is ill-conditioned
-/// (e.g. a narrowband excitation exciting few delay taps).
-cvec least_squares(const cmatrix& a, std::span<const cplx> b, double ridge = 0.0);
-
-/// Below this many usable rows the scalar build wins (kernel-call and
-/// broadcast overhead dominate) and estimate_fir_least_squares stays on the
-/// legacy loop.
-inline constexpr std::size_t fir_ls_vector_min_window = 32;
-/// The correlation-form build pays an O(n_taps^2) recurrence to drop the
-/// per-entry window sweeps; it only wins — and only reassociates — for wide
-/// filters over long windows. Every in-simulation fit (5-8 taps) stays on
-/// the bit-exact paths.
-inline constexpr std::size_t fir_ls_correlation_min_taps = 12;
-inline constexpr std::size_t fir_ls_correlation_min_window = 192;
-
-/// Which normal-equations builder a fit dispatched to.
-enum class fir_ls_path : std::uint8_t { scalar, vectorized, correlation };
-
-/// Process-wide dispatch counters (relaxed; perf_trial prints them so a
-/// size-dispatch regression is visible in the bench JSON).
+/// Process-wide count of normal-equations builds (relaxed). `vectorized`
+/// counts every fir_ls_build. The scalar and correlation-form builders
+/// were deleted once no workload ran them; their fields stay, always 0,
+/// for readers of the older three-way split (the regime benchmark's
+/// dsp.fir_ls.* metrics).
 struct fir_ls_counts {
   std::uint64_t scalar = 0;
   std::uint64_t vectorized = 0;
   std::uint64_t correlation = 0;
 };
 fir_ls_counts fir_ls_dispatch_counts();
-void reset_fir_ls_dispatch_counts();
 
 /// Reusable state for FIR least-squares fits. gram holds the n_taps x
 /// n_taps column-major normal matrix after fir_ls_build, and its Cholesky
@@ -91,8 +40,8 @@ struct fir_ls_workspace {
 };
 
 /// Build the pre-ridge normal equations for y[t] = sum_k h[k] x[t-k] over
-/// the rows with full filter memory (the size-dispatched hot path; bumps
-/// the dispatch counters). Requires min(|x|, |y|) >= n_taps >= 1.
+/// the rows with full filter memory (bumps fir_ls_dispatch_counts()).
+/// Throws std::invalid_argument unless min(|x|, |y|) >= n_taps >= 1.
 void fir_ls_build(std::span<const cplx> x, std::span<const cplx> y,
                   std::size_t n_taps, fir_ls_workspace& w,
                   workspace_stats* stats = nullptr);
@@ -123,14 +72,10 @@ void fir_ls_solve(const fir_ls_workspace& w, cvec& taps,
 
 /// Least squares for the convolution model y[n] = sum_k h[k] x[n-k]:
 /// builds the Toeplitz normal equations from the known input x and the
-/// observed output y and returns the length-`n_taps` channel estimate.
-/// Only rows where the full filter memory is available are used.
-cvec estimate_fir_least_squares(std::span<const cplx> x, std::span<const cplx> y,
-                                std::size_t n_taps, double ridge = 1e-9);
-
-/// As estimate_fir_least_squares, into a reusable taps buffer with reusable
-/// fit state — the zero-alloc spelling for per-packet adaptation loops.
-/// Bit-identical to the allocating form.
+/// observed output y and writes the length-`n_taps` channel estimate into
+/// `taps`, reusing the fit state in `w`. Only rows where the full filter
+/// memory is available are used; `ridge` is scaled by the excitation
+/// energy (see fir_ls_factor).
 void estimate_fir_least_squares_into(std::span<const cplx> x,
                                      std::span<const cplx> y,
                                      std::size_t n_taps, double ridge,
@@ -138,15 +83,6 @@ void estimate_fir_least_squares_into(std::span<const cplx> x,
                                      workspace_stats* stats = nullptr);
 
 namespace detail {
-
-/// Test hook: run the fit on a forced builder path, bypassing the size
-/// dispatch (the equivalence suite pins vectorized == scalar bitwise and
-/// correlation ~= scalar to tolerance at every tap count).
-void estimate_fir_least_squares_with_path(std::span<const cplx> x,
-                                          std::span<const cplx> y,
-                                          std::size_t n_taps, double ridge,
-                                          fir_ls_path path, cvec& taps,
-                                          fir_ls_workspace& w);
 
 /// In-place Cholesky A = L L^H on an n x n column-major buffer (lower
 /// triangle overwritten with L; upper triangle untouched). Same operation

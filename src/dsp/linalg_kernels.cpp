@@ -1,6 +1,5 @@
 #include "dsp/linalg_kernels.h"
 
-#include <cmath>
 #include <complex>
 
 #if defined(__AVX2__)
@@ -127,63 +126,6 @@ void fir_normal_equations_vectorized(const cplx* x, std::size_t n,
   }
   mirror_lower_triangle(gram, n_taps);
   fir_rhs_vectorized(x, n, y, n_taps, rhs);
-}
-
-void fir_normal_equations_correlation(const cplx* x, std::size_t n,
-                                      const cplx* y, std::size_t n_taps,
-                                      cplx* gram, cplx* rhs) {
-  const std::size_t t0 = n_taps - 1;
-  // Base row: the n_taps lag correlations gram(0, d), d in [0, n_taps) —
-  // the only O(window) work in the Gram. gram(0, 0) doubles as the exact
-  // column energy the ridge scaling uses.
-#if defined(__AVX2__)
-  gram_row_avx2(x, n, t0, n_taps, 0, gram);
-#else
-  for (std::size_t j = 0; j < n_taps; ++j)
-    gram[j * n_taps + 0] = gram_entry_scalar(x, n, t0, 0, j);
-#endif
-  // Toeplitz shift recurrence: row i's window over x is row (i-1)'s window
-  // shifted one sample earlier, so each entry gains one head term and loses
-  // one tail term. O(1) per entry, O(n_taps^2) for the rest of the Gram.
-  for (std::size_t i = 1; i < n_taps; ++i) {
-    for (std::size_t j = i; j < n_taps; ++j) {
-      const cplx head = std::conj(x[t0 - i]) * x[t0 - j];
-      const cplx tail = std::conj(x[n - i]) * x[n - j];
-      gram[j * n_taps + i] = gram[(j - 1) * n_taps + (i - 1)] + head - tail;
-    }
-  }
-  mirror_lower_triangle(gram, n_taps);
-  fir_rhs_vectorized(x, n, y, n_taps, rhs);
-}
-
-bool all_finite_window2(const cplx* x, const cplx* y, std::size_t begin,
-                        std::size_t end) {
-  if (begin >= end) return true;
-  const double* xd = reinterpret_cast<const double*>(x);
-  const double* yd = reinterpret_cast<const double*>(y);
-  std::size_t d = 2 * begin;
-  const std::size_t d_end = 2 * end;
-#if defined(__AVX2__)
-  const __m256d zero = _mm256_setzero_pd();
-  // (v - v) == 0 holds exactly for finite v and fails for NaN/Inf; AND the
-  // comparison masks over a block, check once per block.
-  for (; d + 16 <= d_end; d += 16) {
-    __m256d ok = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    for (std::size_t k = 0; k < 16; k += 4) {
-      const __m256d xv = _mm256_loadu_pd(xd + d + k);
-      const __m256d yv = _mm256_loadu_pd(yd + d + k);
-      ok = _mm256_and_pd(
-          ok, _mm256_cmp_pd(_mm256_sub_pd(xv, xv), zero, _CMP_EQ_OQ));
-      ok = _mm256_and_pd(
-          ok, _mm256_cmp_pd(_mm256_sub_pd(yv, yv), zero, _CMP_EQ_OQ));
-    }
-    if (_mm256_movemask_pd(ok) != 0xF) return false;
-  }
-#endif
-  for (; d < d_end; ++d) {
-    if (!std::isfinite(xd[d]) || !std::isfinite(yd[d])) return false;
-  }
-  return true;
 }
 
 }  // namespace backfi::dsp::detail

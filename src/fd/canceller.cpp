@@ -17,7 +17,7 @@ cvec subtract_filtered(std::span<const cplx> tx, std::span<const cplx> rx,
                        const cvec& taps) {
   // convolve_same_subtract_into fuses the leakage emulation into the
   // subtraction (bit-identical to materializing convolve_same and
-  // subtracting); the same FFT dispatch applies for long channels.
+  // subtracting).
   cvec out;
   dsp::convolve_same_subtract_into(rx, tx, taps, out);
   return out;
@@ -202,10 +202,8 @@ void digital_canceller::cancel_ranges_into(
     std::span<const dsp::sample_range> ranges, canceller_scratch& s,
     dsp::workspace_stats* stats) const {
   const std::size_t n = rx.size();
-  if (taps_.empty() || tx.empty() ||
-      std::min(tx.size(), taps_.size()) >= dsp::fft_convolve_min_taps) {
-    // Degenerate operands copy in O(n) anyway; FFT-length channels
-    // transform the whole capture regardless, so there is nothing to skip.
+  if (taps_.empty() || tx.empty()) {
+    // Degenerate operands copy in O(n) anyway: nothing to skip.
     cancel_into(tx, rx, out, s, stats);
     return;
   }
@@ -251,8 +249,7 @@ void digital_canceller::cancel_quantized_ranges_into(
     std::span<const dsp::sample_range> ranges, canceller_scratch& s,
     dsp::workspace_stats* stats) const {
   const std::size_t n = analog.size();
-  if (taps_.empty() || tx.empty() ||
-      std::min(tx.size(), taps_.size()) >= dsp::fft_convolve_min_taps) {
+  if (taps_.empty() || tx.empty()) {
     cancel_quantized_into(tx, analog, adc, digitized, cleaned, saturated, s,
                           stats);
     return;
@@ -313,11 +310,9 @@ void digital_canceller::cancel_quantized_into(std::span<const cplx> tx,
                                               dsp::workspace_stats* stats) const {
   const std::size_t n = analog.size();
   dsp::acquire(digitized, n, stats);
-  if (taps_.empty() || tx.empty() ||
-      std::min(tx.size(), taps_.size()) >= dsp::fft_convolve_min_taps) {
-    // FFT-length channels (and degenerate operands) keep the two-sweep
-    // form: the divide/convolution interleave only pays off against the
-    // direct-form kernel.
+  if (taps_.empty() || tx.empty()) {
+    // Degenerate operands keep the two-sweep form: there is no convolution
+    // to interleave the divides with.
     quantize_into_saturation(analog, adc, digitized, saturated, stats);
     cancel_into(tx, digitized, cleaned, s, stats);
     return;

@@ -61,10 +61,9 @@ class analog_canceller {
   /// As cancel(), into a reusable caller buffer and restricted to `ranges`
   /// (disjoint, ascending [begin, end) windows, clamped to len(rx)): out is
   /// sized to len(rx) but only the ranges are written, bit-identical to
-  /// cancel() there, and only rx samples inside them are read (FFT-length
-  /// tap vectors fall back to the full sweep). The receive chain passes
-  /// silent window ∪ decoder ROI here, or [0, len(rx)) when it runs
-  /// full-range.
+  /// cancel() there, and only rx samples inside them are read. The receive
+  /// chain passes silent window ∪ decoder ROI here, or [0, len(rx)) when it
+  /// runs full-range.
   void cancel_ranges_into(std::span<const cplx> tx, std::span<const cplx> rx,
                           cvec& out,
                           std::span<const dsp::sample_range> ranges,
@@ -125,9 +124,7 @@ class digital_canceller {
   /// ascending [begin, end) windows, clamped to len(rx)): out is sized to
   /// len(rx) but only the ranges are written with values bit-identical to
   /// the full sweep — samples outside them are left stale and must not be
-  /// read. FFT-length channels fall back to the full sweep (the transform
-  /// touches the whole capture anyway). The receive chain passes
-  /// silent-window ∪ decoder-ROI here.
+  /// read. The receive chain passes silent-window ∪ decoder-ROI here.
   void cancel_ranges_into(std::span<const cplx> tx, std::span<const cplx> rx,
                           cvec& out,
                           std::span<const dsp::sample_range> ranges,
@@ -153,8 +150,7 @@ class digital_canceller {
   /// ascending, clamped to len(analog)): only the ranges of `digitized` and
   /// `cleaned` are written — bit-identical to the full sweep there — and
   /// `saturated` reflects clip events from the ranges alone, i.e. from the
-  /// samples actually digitized. FFT-length channels fall back to the full
-  /// sweep (and report the whole capture's clip events).
+  /// samples actually digitized.
   void cancel_quantized_ranges_into(std::span<const cplx> tx,
                                     std::span<const cplx> analog,
                                     const adc_config& adc, cvec& digitized,

@@ -88,18 +88,12 @@ chain_ranges chain_read_ranges(const receive_chain_config& config,
   out.ranges[0] = {0, capture_len};
   out.count = 1;
   roi = clamp_range(roi, capture_len);
-  // The ranged kernels fall back to full sweeps for FFT-length tap vectors
-  // (the transform touches the whole capture anyway).
-  const bool fft_regime =
-      std::min(capture_len,
-               std::max(config.analog.n_taps, config.digital.n_taps)) >=
-      dsp::fft_convolve_min_taps;
   // Full-range rules: a degenerate silent window bypasses the chain with a
   // whole-capture copy, a front-end hook mutates the whole analog residual,
   // and residual-gain tracking fits whole-capture statistics.
   const bool degenerate = silent_begin >= silent_end || silent_end > capture_len;
   if (roi.empty() || degenerate || config.front_end_hook ||
-      config.track_residual_gain || fft_regime)
+      config.track_residual_gain)
     return out;
   out.count = union_ranges({silent_begin, silent_end}, roi, out.ranges);
   return out;

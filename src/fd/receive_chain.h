@@ -81,8 +81,7 @@ struct receive_chain_config {
   /// quantization regardless of the roi; residual-gain tracking fits its
   /// statistics over the whole capture by definition, so it too keeps the
   /// cancel/quantize sweeps full-range and restricts only the final
-  /// gain-application pass; FFT-length tap vectors (>=
-  /// dsp::fft_convolve_min_taps) transform the whole capture anyway.
+  /// gain-application pass.
   dsp::sample_range roi;
   /// Observability sink (nullable): the chain reports cancellation depths,
   /// ADC saturation / bypass events, per-stage timing spans and — when a

@@ -152,9 +152,6 @@ void mrc_payload_estimates(std::span<const cplx> x, std::span<const cplx> h_fb,
           ? std::min(n_symbols, (y.size() - first_symbol_start) / sps)
           : 0;
   if (n_fit == 0) return;
-  // FFT-length channels convolve the whole capture per call, so they take
-  // the payload as one tile.
-  if (h_fb.size() >= dsp::fft_convolve_min_taps) tile_samples = n_fit * sps;
   dsp::acquire(tile, std::min(tile_samples, n_fit * sps), stats);
   const std::size_t len = sps - guard;
   const std::size_t per_tile = tile_samples / sps;

@@ -292,8 +292,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
   // y = x * h_env + ((x * h_f) .* reflection) * h_b + noise, synthesized
   // only over the samples the session reads: silent window ∪ the decoder's
   // read window on the fault-free path, the whole capture when the chain
-  // runs full-range or an antenna-domain fault writes rx. The channels are
-  // a few taps long (far below dsp::fft_convolve_min_taps), so each ranged
+  // runs full-range or an antenna-domain fault writes rx. Each ranged
   // convolution reads only its window plus len(h) - 1 samples of history.
   // Samples outside the ranges keep stale contents nobody reads. Every
   // synthesized sample is bit-identical to a full synthesis.

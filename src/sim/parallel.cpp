@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "sim/scheduler.h"
-
 namespace backfi::sim {
 
 namespace {
@@ -39,23 +37,11 @@ std::size_t thread_count() {
   return default_thread_count();
 }
 
-void set_thread_count(std::size_t n) {
-  g_thread_override.store(n, std::memory_order_relaxed);
-}
-
 scoped_thread_count::scoped_thread_count(std::size_t n)
     : previous_(g_thread_override.exchange(n, std::memory_order_relaxed)) {}
 
 scoped_thread_count::~scoped_thread_count() {
   g_thread_override.store(previous_, std::memory_order_relaxed);
-}
-
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  // The work-stealing sweep scheduler owns the execution (and the serial
-  // fallbacks for thread_count() <= 1 and nested calls); parallel_for is
-  // the stats-free spelling of the same loop.
-  (void)sweep_for(n, body);
 }
 
 }  // namespace backfi::sim

@@ -1,31 +1,13 @@
-// Deterministic parallel execution for Monte-Carlo trial loops.
+// Thread-count control for the deterministic sweep scheduler.
 //
-// Design rules that keep parallel results bit-identical to the serial loop
-// at any thread count (including 1):
-//  - The caller derives every trial's RNG seed from (base seed, trial
-//    index) alone — never from execution order or thread identity.
-//  - Each index writes only its own result slot; reductions happen on the
-//    calling thread in index order after the loop.
-//  - parallel_for never reorders observable side effects because the trial
-//    functions are pure given their config.
-//
-// The pool is lazily created, fixed-size (max_threads() - 1 workers plus
-// the calling thread), and shared process-wide. Nested parallel_for calls
-// from inside a worker run serially on that worker, so trial bodies may
-// themselves call parallelized evaluators without deadlock or
-// oversubscription.
-//
-// Execution is delegated to the chunked work-stealing sweep scheduler
-// (scheduler.h): parallel_for is sweep_for without the execution report.
-// Callers that want per-lane busy time, steal counts, or scheduler
-// telemetry use sweep_for directly.
+// Every parallel loop runs through sweep_for / sweep_for_ranges
+// (scheduler.h), whose determinism contract keeps results bit-identical to
+// the serial loop at any thread count. This header holds the knob those
+// loops read: how many threads they may use, and how a caller changes that
+// for a region.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace backfi::sim {
 
@@ -33,27 +15,15 @@ namespace backfi::sim {
 /// tuning. thread_count() and the scheduler both clamp to it.
 inline constexpr std::size_t max_pool_threads = 256;
 
-/// True on threads currently executing a parallel_for / sweep_for body
-/// (pool workers, and the calling thread while it participates). Nested
-/// loops on such threads run serially in index order.
+/// True on threads currently executing a sweep_for body (pool workers, and
+/// the calling thread while it participates). Nested loops on such threads
+/// run serially in index order.
 bool in_parallel_region();
 
-// --- Thread-count control ------------------------------------------------
-//
-// thread_count() is what parallel_for/parallel_map actually use;
-// scoped_thread_count is how callers change it for a region. The
-// resolution order is: the value set by set_thread_count /
-// scoped_thread_count if nonzero, else the BACKFI_THREADS environment
-// variable, else std::thread::hardware_concurrency.
-
-/// Number of threads parallel_for may use right now.
+/// Number of threads a sweep may use right now: the innermost
+/// scoped_thread_count override if any, else the BACKFI_THREADS environment
+/// variable, else std::thread::hardware_concurrency.
 std::size_t thread_count();
-
-/// Deprecated spelling of thread_count(); prefer the new name.
-inline std::size_t max_threads() { return thread_count(); }
-
-/// Override thread_count() process-wide; 0 restores the default resolution.
-void set_thread_count(std::size_t n);
 
 /// RAII thread-count override (restores the previous override on exit).
 /// Used by perf_kernels to measure 1/2/4-thread scaling in one process.
@@ -67,36 +37,5 @@ class scoped_thread_count {
  private:
   std::size_t previous_;
 };
-
-/// Run body(0) ... body(n - 1), distributing indices across the pool. The
-/// call returns after every index has completed. If any body throws, the
-/// remaining indices are abandoned and the first exception is rethrown on
-/// the calling thread. With thread_count() <= 1, or when called from inside
-/// a pool worker, the loop runs serially in index order.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-/// Map fn over [0, n) into a vector, one disjoint slot per index. The
-/// result ordering (and, for deterministic fn, the contents) is identical
-/// at any thread count. The element type is deduced from fn; passing it
-/// explicitly (parallel_map<T>) still works.
-template <typename T = void, typename Fn>
-auto parallel_map(std::size_t n, Fn&& fn) {
-  using elem =
-      std::conditional_t<std::is_void_v<T>,
-                         std::invoke_result_t<Fn&, std::size_t>, T>;
-  std::vector<elem> out(n);
-  parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
-
-/// Map-then-reduce: run fn over [0, n) in parallel, then fold the slot
-/// vector on the calling thread in index order. This is the one idiom the
-/// Monte-Carlo evaluators share (packet_error_rate, client_throughput_bps,
-/// run_fault_campaign); the index-ordered reduction is what keeps their
-/// results bit-identical at any thread count.
-template <typename Fn, typename Reduce>
-auto parallel_map(std::size_t n, Fn&& fn, Reduce&& reduce) {
-  return std::forward<Reduce>(reduce)(parallel_map(n, std::forward<Fn>(fn)));
-}
 
 }  // namespace backfi::sim

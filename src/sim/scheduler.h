@@ -11,8 +11,7 @@
 // so trial loops scale with the hardware instead of serializing on the
 // pool bookkeeping.
 //
-// Determinism contract (same as sim::parallel_for, see parallel.h): the
-// caller derives every task's RNG seed from (base seed, flattened index)
+// Determinism contract: the caller derives every task's RNG seed from (base seed, flattened index)
 // alone and each index writes only its own result slot, so results —
 // and index-ordered collector merges — are bit-identical at any
 // BACKFI_THREADS. The scheduler only changes *which lane* runs an index,
@@ -73,10 +72,10 @@ struct sweep_stats {
 };
 
 /// Run body(0) ... body(n - 1) across the worker pool with chunked
-/// work-stealing. Same semantics as parallel_for — returns after every
-/// index has completed, rethrows the first body exception, runs serially
-/// in index order when thread_count() <= 1 or when called from inside a
-/// pool worker — plus an execution report. `chunk` == 0 selects
+/// work-stealing. Returns after every index has completed, rethrows the
+/// first body exception (the remaining indices are abandoned), runs
+/// serially in index order when thread_count() <= 1 or when called from
+/// inside a pool worker, and reports how the sweep executed. `chunk` == 0 selects
 /// sweep_chunk_size(n, 0).
 sweep_stats sweep_for(std::size_t n,
                       const std::function<void(std::size_t)>& body,

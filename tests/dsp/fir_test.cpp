@@ -1,6 +1,7 @@
 #include "dsp/fir.h"
 
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <cstdint>
 
 #include "dsp/rng.h"
@@ -8,6 +9,24 @@
 
 namespace backfi::dsp {
 namespace {
+
+// The original scatter-form convolution, kept as the independent reference
+// every convolution path must reproduce bit for bit.
+cvec reference_convolve(const cvec& x, const cvec& h) {
+  if (x.empty() || h.empty()) return {};
+  cvec out(x.size() + h.size() - 1, cplx{0.0, 0.0});
+  for (std::size_t i = 0; i < x.size(); ++i)
+    for (std::size_t k = 0; k < h.size(); ++k) out[i + k] += x[i] * h[k];
+  return out;
+}
+
+void expect_bit_identical(const cvec& actual, const cvec& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual[i].real(), expected[i].real()) << "i=" << i;
+    ASSERT_EQ(actual[i].imag(), expected[i].imag()) << "i=" << i;
+  }
+}
 
 TEST(FirTest, ConvolveWithDeltaIsIdentity) {
   const cvec x = {{1.0, 2.0}, {3.0, -1.0}, {0.5, 0.5}};
@@ -60,97 +79,51 @@ TEST(FirTest, ConvolveSameTruncatesToInputLength) {
     EXPECT_NEAR(std::abs(same[i] - full[i]), 0.0, 1e-15);
 }
 
-TEST(FirTest, StreamingMatchesBatchAcrossBlockBoundaries) {
-  rng gen(10);
-  cvec x(100), taps(9);
-  for (auto& v : x) v = gen.complex_gaussian();
-  for (auto& v : taps) v = gen.complex_gaussian();
-
-  const cvec batch = convolve_same(x, taps);
-
-  fir_filter filt(taps);
-  cvec streamed;
-  // Deliberately irregular block sizes to stress the history handling.
-  const std::size_t blocks[] = {1, 3, 13, 40, 43};
-  std::size_t pos = 0;
-  for (std::size_t len : blocks) {
-    const cvec out = filt.process(std::span(x).subspan(pos, len));
-    streamed.insert(streamed.end(), out.begin(), out.end());
-    pos += len;
-  }
-  ASSERT_EQ(streamed.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    EXPECT_NEAR(std::abs(streamed[i] - batch[i]), 0.0, 1e-12) << "at index " << i;
-}
-
-TEST(FirTest, OverlapSaveMatchesDirectRandomized) {
+TEST(FirTest, ConvolveLongKernelsBitIdenticalToDirect) {
   rng seeds(77);
-  // Mixed sizes around the dispatch threshold, including non-power-of-two
-  // kernels and a signal shorter than one FFT block.
+  // Kernels as long as or longer than the signal, including non-power-of-two
+  // lengths and a signal shorter than the kernel.
   const struct { std::size_t nx, nh; } cases[] = {
-      {1000, 97}, {1 << 12, 256}, {513, 129}, {200, 200}, {96, 4096}};
+      {1000, 97}, {1 << 12, 256}, {513, 129}, {200, 200}, {96, 1024}};
   for (const auto& c : cases) {
     rng gen(seeds.next_u64());
     cvec x(c.nx), h(c.nh);
     for (auto& v : x) v = gen.complex_gaussian();
     for (auto& v : h) v = gen.complex_gaussian();
-    const cvec direct = convolve_direct(x, h);
-    const cvec fast = convolve_overlap_save(x, h);
-    ASSERT_EQ(fast.size(), direct.size());
-    double scale = 0.0;
-    for (const cplx& v : direct) scale = std::max(scale, std::abs(v));
-    for (std::size_t i = 0; i < direct.size(); ++i)
-      EXPECT_NEAR(std::abs(fast[i] - direct[i]) / scale, 0.0, 1e-9)
-          << "nx=" << c.nx << " nh=" << c.nh << " i=" << i;
-  }
-}
-
-TEST(FirTest, ConvolveDispatchesLongKernelsToOverlapSave) {
-  rng gen(78);
-  cvec x(2048), h(fft_convolve_min_taps);
-  for (auto& v : x) v = gen.complex_gaussian();
-  for (auto& v : h) v = gen.complex_gaussian();
-  // At the threshold, convolve must return exactly the overlap-save result.
-  const cvec dispatched = convolve(x, h);
-  const cvec fast = convolve_overlap_save(x, h);
-  ASSERT_EQ(dispatched.size(), fast.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(dispatched[i].real(), fast[i].real());
-    EXPECT_EQ(dispatched[i].imag(), fast[i].imag());
+    SCOPED_TRACE(testing::Message() << "nx=" << c.nx << " nh=" << c.nh);
+    expect_bit_identical(convolve(x, h), reference_convolve(x, h));
   }
 }
 
 TEST(FirTest, ConvolveShortKernelsStayBitIdenticalToDirect) {
   rng gen(79);
-  cvec x(512), h(fft_convolve_min_taps - 1);
+  cvec x(512);
   for (auto& v : x) v = gen.complex_gaussian();
-  for (auto& v : h) v = gen.complex_gaussian();
-  const cvec dispatched = convolve(x, h);
-  const cvec direct = convolve_direct(x, h);
-  ASSERT_EQ(dispatched.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(dispatched[i].real(), direct[i].real());
-    EXPECT_EQ(dispatched[i].imag(), direct[i].imag());
+  for (const std::size_t taps : {std::size_t{1}, std::size_t{6}, std::size_t{8},
+                                 std::size_t{95}}) {
+    cvec h(taps);
+    for (auto& v : h) v = gen.complex_gaussian();
+    SCOPED_TRACE(testing::Message() << "taps=" << taps);
+    expect_bit_identical(convolve(x, h), reference_convolve(x, h));
   }
 }
-
-TEST(FirTest, ResetClearsHistory) {
-  const cvec taps = {{1.0, 0.0}, {1.0, 0.0}};
-  fir_filter filt(taps);
-  const cvec block = {{1.0, 0.0}};
-  (void)filt.process(block);
-  filt.reset();
-  const cvec out = filt.process(block);
-  // Without reset the first output would be 1 + previous(1) = 2.
-  EXPECT_NEAR(std::abs(out[0] - cplx(1.0, 0.0)), 0.0, 1e-15);
-}
-
 
 cvec window_vec(std::size_t n, std::uint64_t seed) {
   rng gen(seed);
   cvec v(n);
   for (auto& s : v) s = gen.complex_gaussian();
   return v;
+}
+
+// The window form writes exactly its window: computed into a slice of a
+// zeroed capture-length buffer, everything outside the slice stays zero.
+cvec same_window_in_zeros(const cvec& x, const cvec& h, std::size_t begin,
+                          std::size_t end) {
+  cvec out(x.size(), cplx{0.0, 0.0});
+  const std::size_t e = std::min(end, x.size());
+  const std::size_t b = std::min(begin, e);
+  convolve_same_window(x, h, b, std::span(out).subspan(b, e - b));
+  return out;
 }
 
 TEST(FirTest, ConvolveSameRangeBitIdenticalInsideWindowZeroOutside) {
@@ -161,7 +134,7 @@ TEST(FirTest, ConvolveSameRangeBitIdenticalInsideWindowZeroOutside) {
                                     {37, 123},  {250, 300}, {290, 1000},
                                     {300, 300}, {500, 600}};
   for (const auto& w : windows) {
-    const cvec ranged = convolve_same_range(x, h, w[0], w[1]);
+    const cvec ranged = same_window_in_zeros(x, h, w[0], w[1]);
     ASSERT_EQ(ranged.size(), x.size());
     const std::size_t hi = w[1] < x.size() ? w[1] : x.size();
     const std::size_t lo = w[0] < hi ? w[0] : hi;
@@ -176,16 +149,24 @@ TEST(FirTest, ConvolveSameRangeBitIdenticalInsideWindowZeroOutside) {
 TEST(FirTest, ConvolveSameRangeAllZeroTapsGiveZeroWindow) {
   const cvec x = window_vec(64, 103);
   const cvec h(4, cplx{0.0, 0.0});
-  const cvec ranged = convolve_same_range(x, h, 5, 20);
+  const cvec ranged = same_window_in_zeros(x, h, 5, 20);
   for (const auto& v : ranged) ASSERT_EQ(v, cplx(0.0, 0.0));
 }
 
-TEST(FirTest, ConvolveSameRangeMatchesFftRegime) {
+TEST(FirTest, ConvolveSameWindowMatchesLongKernels) {
+  // A 103-tap kernel, longer than the window: each window, and each tile of
+  // a tiled window, matches the full convolution bit for bit.
   const cvec x = window_vec(512, 104);
-  const cvec h = window_vec(fft_convolve_min_taps + 7, 105);
+  const cvec h = window_vec(103, 105);
   const cvec full = convolve_same(x, h);
-  const cvec ranged = convolve_same_range(x, h, 100, 200);
+  const cvec ranged = same_window_in_zeros(x, h, 100, 200);
   for (std::size_t i = 100; i < 200; ++i) ASSERT_EQ(ranged[i], full[i]) << i;
+  cvec tile(48);
+  for (std::size_t lo = 0; lo + tile.size() <= x.size(); lo += tile.size()) {
+    convolve_same_window(x, h, lo, tile);
+    for (std::size_t j = 0; j < tile.size(); ++j)
+      ASSERT_EQ(tile[j], full[lo + j]) << lo + j;
+  }
 }
 
 TEST(FirTest, ConvolveSameRangeIntoReusesWarmBuffer) {
@@ -218,7 +199,7 @@ TEST(FirTest, ConvolveSameIntoMatchesConvolveSame) {
 }
 
 TEST(FirTest, ConvolveSameSubtractIntoMatchesMaterializedSubtract) {
-  for (const std::size_t taps : {std::size_t{6}, fft_convolve_min_taps + 3}) {
+  for (const std::size_t taps : {std::size_t{6}, std::size_t{99}}) {
     const cvec x = window_vec(400, 110 + taps);
     const cvec rx = window_vec(420, 111 + taps);  // longer rx: plain tail copy
     const cvec h = window_vec(taps, 112 + taps);

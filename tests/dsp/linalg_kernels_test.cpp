@@ -1,19 +1,17 @@
-// Equivalence suite for the size-dispatched FIR least-squares builders.
+// Equivalence suite for the FIR least-squares normal-equations builder.
 //
 // The contract under test (dsp/linalg_kernels.h):
-//  - vectorized build == scalar seed build, bit for bit, at every size;
-//  - correlation-form build == scalar seed build to tolerance (its Toeplitz
-//    recurrence reassociates each entry's sum, trading one rounding sequence
-//    for another — the only kernel in this family that changes accumulation
-//    order, which is why the dispatch thresholds keep the in-simulation
-//    5-8-tap fits off it);
+//  - the vectorized build == the scalar seed accumulation, bit for bit, at
+//    every window length from n_taps up;
 //  - the workspace build/factor/solve split, RHS-only rebuilds, and the
 //    derived conj-branch Gram reproduce the one-shot fits they replace.
 #include "dsp/linalg_kernels.h"
 
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
+#include <vector>
 
 #include "dsp/linalg.h"
 #include "dsp/rng.h"
@@ -51,12 +49,39 @@ void reference_normal_equations(const cvec& x, const cvec& y,
   }
 }
 
+cvec fit(std::span<const cplx> x, std::span<const cplx> y, std::size_t n_taps,
+         double ridge) {
+  cvec taps;
+  fir_ls_workspace w;
+  estimate_fir_least_squares_into(x, y, n_taps, ridge, taps, w);
+  return taps;
+}
+
+// The seed fit: reference normal equations, the energy-scaled ridge on the
+// diagonal, and the Cholesky solve.
+cvec reference_fit(const cvec& x, const cvec& y, std::size_t n_taps,
+                   double ridge) {
+  cvec gram, rhs;
+  reference_normal_equations(x, y, n_taps, gram, rhs);
+  double col_energy = 0.0;
+  for (std::size_t t = n_taps - 1; t < x.size(); ++t)
+    col_energy += std::norm(x[t]);
+  const double scaled_ridge = ridge * std::max(col_energy, 1e-30);
+  for (std::size_t i = 0; i < n_taps; ++i) gram[i * n_taps + i] += scaled_ridge;
+  detail::cholesky_factor_in_place(gram.data(), n_taps);
+  detail::cholesky_solve_in_place(gram.data(), n_taps, rhs.data());
+  return rhs;
+}
+
 TEST(LinalgKernelsTest, VectorizedBuildMatchesScalarBitExactly) {
   rng gen(901);
-  // Odd window lengths on purpose: they exercise the scalar tails of the
-  // two-entry lane pairing at every alignment.
-  for (const std::size_t n : {std::size_t{33}, std::size_t{97}, std::size_t{313},
-                              std::size_t{601}}) {
+  // Every short window from n = n_taps (one usable row) up to 32, then odd
+  // long windows: they exercise the scalar tails of the two-entry lane
+  // pairing at every alignment.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 32; ++n) lengths.push_back(n);
+  for (const std::size_t n : {33, 97, 313, 601}) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
     for (std::size_t n_taps = 1; n_taps <= 16; ++n_taps) {
       if (n < n_taps) continue;
       const cvec x = random_vec(gen, n);
@@ -77,83 +102,28 @@ TEST(LinalgKernelsTest, VectorizedBuildMatchesScalarBitExactly) {
   }
 }
 
-TEST(LinalgKernelsTest, CorrelationBuildMatchesScalarToTolerance) {
-  rng gen(902);
-  for (const std::size_t n : {std::size_t{201}, std::size_t{513}}) {
-    for (std::size_t n_taps = 1; n_taps <= 16; ++n_taps) {
-      const cvec x = random_vec(gen, n);
-      const cvec y = random_vec(gen, n);
-      cvec ref_gram, ref_rhs;
-      reference_normal_equations(x, y, n_taps, ref_gram, ref_rhs);
-
-      cvec gram(n_taps * n_taps), rhs(n_taps);
-      detail::fir_normal_equations_correlation(x.data(), n, y.data(), n_taps,
-                                               gram.data(), rhs.data());
-      const double scale = std::abs(ref_gram[0]);
-      for (std::size_t k = 0; k < gram.size(); ++k)
-        ASSERT_NEAR(std::abs(gram[k] - ref_gram[k]), 0.0, 1e-9 * scale)
-            << "gram n=" << n << " taps=" << n_taps << " k=" << k;
-      // The RHS build is shared with the vectorized path: bit-identical.
-      for (std::size_t k = 0; k < rhs.size(); ++k)
-        ASSERT_EQ(rhs[k], ref_rhs[k]) << "rhs taps=" << n_taps << " k=" << k;
-    }
-  }
-}
-
-TEST(LinalgKernelsTest, ForcedPathsAgreeOnTaps) {
-  rng gen(903);
-  // Full-fit comparison across every builder, including edge-dominated tiny
-  // windows (m barely above n_taps) and ridge 0 vs 1e-6.
-  for (const std::size_t n : {std::size_t{19}, std::size_t{41}, std::size_t{257},
-                              std::size_t{511}}) {
-    for (const std::size_t n_taps :
-         {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{8},
-          std::size_t{13}, std::size_t{16}}) {
-      if (n < n_taps + 4) continue;
-      for (const double ridge : {0.0, 1e-6}) {
-        // An edge-dominated window with fewer usable rows than taps is
-        // rank-deficient; it is only solvable with the ridge on.
-        if (ridge == 0.0 && n - (n_taps - 1) < n_taps) continue;
-        const cvec x = random_vec(gen, n);
-        const cvec y = random_vec(gen, n);
-
-        cvec taps_scalar, taps_vec, taps_corr;
-        fir_ls_workspace w;
-        detail::estimate_fir_least_squares_with_path(
-            x, y, n_taps, ridge, fir_ls_path::scalar, taps_scalar, w);
-        detail::estimate_fir_least_squares_with_path(
-            x, y, n_taps, ridge, fir_ls_path::vectorized, taps_vec, w);
-        detail::estimate_fir_least_squares_with_path(
-            x, y, n_taps, ridge, fir_ls_path::correlation, taps_corr, w);
-
-        for (std::size_t k = 0; k < n_taps; ++k) {
-          ASSERT_EQ(taps_vec[k], taps_scalar[k])
-              << "vectorized n=" << n << " taps=" << n_taps << " k=" << k;
-          ASSERT_NEAR(std::abs(taps_corr[k] - taps_scalar[k]), 0.0, 1e-7)
-              << "correlation n=" << n << " taps=" << n_taps << " k=" << k;
-        }
-      }
-    }
-  }
-}
-
 TEST(LinalgKernelsTest, DispatchedFitMatchesSeedImplementationBitExactly) {
   rng gen(904);
-  // Whatever path the size dispatch picks must reproduce the allocating
-  // seed API bitwise for in-simulation shapes (the pinned-literal contract).
+  // The fit must reproduce the seed implementation bitwise for
+  // in-simulation shapes (the pinned-literal contract), edge-dominated
+  // short windows and wide filters included, with and without the ridge.
   for (const auto& [n, n_taps] :
        {std::pair<std::size_t, std::size_t>{320, 5},
-        {320, 6}, {320, 8}, {600, 5}, {20, 3}, {16, 8}}) {
-    const cvec x = random_vec(gen, n);
-    const cvec y = random_vec(gen, n);
-    const cvec seed = estimate_fir_least_squares(x, y, n_taps, 1e-9);
-
-    cvec taps;
-    fir_ls_workspace w;
-    estimate_fir_least_squares_into(x, y, n_taps, 1e-9, taps, w);
-    ASSERT_EQ(taps.size(), seed.size());
-    for (std::size_t k = 0; k < n_taps; ++k)
-      ASSERT_EQ(taps[k], seed[k]) << "n=" << n << " taps=" << n_taps;
+        {320, 6}, {320, 8}, {600, 5}, {20, 3}, {16, 8}, {19, 2}, {19, 16},
+        {41, 13}, {511, 16}}) {
+    for (const double ridge : {1e-9, 1e-6, 0.0}) {
+      // Fewer usable rows than taps is rank-deficient: solvable only with
+      // the ridge on.
+      if (ridge == 0.0 && n - (n_taps - 1) < n_taps) continue;
+      const cvec x = random_vec(gen, n);
+      const cvec y = random_vec(gen, n);
+      const cvec seed = reference_fit(x, y, n_taps, ridge);
+      const cvec taps = fit(x, y, n_taps, ridge);
+      ASSERT_EQ(taps.size(), seed.size());
+      for (std::size_t k = 0; k < n_taps; ++k)
+        ASSERT_EQ(taps[k], seed[k])
+            << "n=" << n << " taps=" << n_taps << " ridge=" << ridge;
+    }
   }
 }
 
@@ -195,8 +165,8 @@ TEST(LinalgKernelsTest, DerivedConjGramMatchesDirectConjBuild) {
 
     // Direct: fit taps of the conjugated, head-trimmed problem from raw
     // samples (what digital_canceller::adapt used to do per packet).
-    const cvec direct = estimate_fir_least_squares(
-        std::span<const cplx>(xc).subspan(edge), yc, n_taps, 1e-9);
+    const cvec direct =
+        fit(std::span<const cplx>(xc).subspan(edge), yc, n_taps, 1e-9);
 
     fir_ls_workspace lin, conj_w;
     fir_ls_build(x, y, n_taps, lin);
@@ -226,47 +196,20 @@ TEST(LinalgKernelsTest, WorkspaceFactorRejectsNonPositiveDefinite) {
 }
 
 TEST(LinalgKernelsTest, DispatchCountersTrackPathSelection) {
-  reset_fir_ls_dispatch_counts();
   rng gen(907);
   const cvec big_x = random_vec(gen, 400), big_y = random_vec(gen, 400);
   const cvec small_x = random_vec(gen, 20), small_y = random_vec(gen, 20);
 
-  estimate_fir_least_squares(small_x, small_y, 4, 1e-9);   // m=17 -> scalar
-  estimate_fir_least_squares(big_x, big_y, 6, 1e-9);       // -> vectorized
-  estimate_fir_least_squares(big_x, big_y, 14, 1e-9);      // -> correlation
-
-  const fir_ls_counts c = fir_ls_dispatch_counts();
-  EXPECT_EQ(c.scalar, 1u);
-  EXPECT_EQ(c.vectorized, 1u);
-  EXPECT_EQ(c.correlation, 1u);
-}
-
-TEST(LinalgKernelsTest, AllFiniteWindowMatchesScalarPredicate) {
-  rng gen(908);
-  cvec x = random_vec(gen, 131), y = random_vec(gen, 131);
-  EXPECT_TRUE(detail::all_finite_window2(x.data(), y.data(), 0, x.size()));
-  EXPECT_TRUE(detail::all_finite_window2(x.data(), y.data(), 40, 40));
-
-  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity()}) {
-    for (const std::size_t pos : {std::size_t{0}, std::size_t{63},
-                                  std::size_t{130}}) {
-      cvec xb = x, yb = y;
-      xb[pos] = cplx(bad, 0.0);
-      EXPECT_FALSE(detail::all_finite_window2(xb.data(), y.data(), 0, x.size()))
-          << "x pos=" << pos;
-      yb[pos] = cplx(0.0, bad);
-      EXPECT_FALSE(detail::all_finite_window2(x.data(), yb.data(), 0, y.size()))
-          << "y pos=" << pos;
-      // Outside the window the poison must be invisible.
-      if (pos > 0 && pos < x.size() - 1) {
-        EXPECT_TRUE(
-            detail::all_finite_window2(xb.data(), yb.data(), pos + 1, x.size()));
-        EXPECT_TRUE(detail::all_finite_window2(xb.data(), yb.data(), 0, pos));
-      }
-    }
-  }
+  // Every build, short window or wide filter, runs the one vectorized
+  // builder; the retired scalar and correlation counters never move.
+  const fir_ls_counts before = fir_ls_dispatch_counts();
+  fit(small_x, small_y, 4, 1e-9);
+  fit(big_x, big_y, 6, 1e-9);
+  fit(big_x, big_y, 14, 1e-9);
+  const fir_ls_counts after = fir_ls_dispatch_counts();
+  EXPECT_EQ(after.vectorized - before.vectorized, 3u);
+  EXPECT_EQ(after.scalar, 0u);
+  EXPECT_EQ(after.correlation, 0u);
 }
 
 }  // namespace

@@ -260,12 +260,11 @@ TEST(MrcKernelTest, KernelsMatchPerSymbolReferenceBitForBit) {
   }
 }
 
-// FFT-length channels (dsp::fft_convolve_min_taps and up) convolve the
-// whole capture per call, so the payload kernel takes them as one tile;
-// the result still matches the reference over the overlap-save yhat.
+// A 100-tap channel, longer than the 64-sample tile: every tile reads that
+// much history and still matches the reference.
 TEST(MrcKernelTest, FftLengthChannelMatchesReference) {
   dsp::rng gen(58);
-  const cvec h = gaussian_vector(dsp::fft_convolve_min_taps + 4, gen);
+  const cvec h = gaussian_vector(100, gen);
   const std::size_t sps = 40, n_sym = 12, guard = 4, first = 150;
   const std::size_t n = first + n_sym * sps + 10;
   const cvec x = gaussian_vector(n, gen);

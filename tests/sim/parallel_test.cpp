@@ -9,6 +9,7 @@
 
 #include "sim/backscatter_sim.h"
 #include "sim/coexistence.h"
+#include "sim/scheduler.h"
 
 namespace backfi::sim {
 namespace {
@@ -18,21 +19,21 @@ TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
   const std::size_t n = 1000;
   // Disjoint slots: each index touches only its own element.
   std::vector<int> counts(n, 0);
-  parallel_for(n, [&](std::size_t i) { ++counts[i]; });
+  sweep_for(n, [&](std::size_t i) { ++counts[i]; });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(counts[i], 1) << "i=" << i;
 }
 
 TEST(ParallelForTest, ZeroIterationsIsNoOp) {
   scoped_thread_count threads(4);
   bool ran = false;
-  parallel_for(0, [&](std::size_t) { ran = true; });
+  sweep_for(0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ParallelForTest, SingleThreadRunsSeriallyInIndexOrder) {
   scoped_thread_count threads(1);
   std::vector<std::size_t> order;
-  parallel_for(64, [&](std::size_t i) { order.push_back(i); });
+  sweep_for(64, [&](std::size_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 64u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
@@ -41,10 +42,10 @@ TEST(ParallelForTest, NestedCallsCompleteWithoutDeadlock) {
   scoped_thread_count threads(4);
   const std::size_t outer = 8, inner = 16;
   std::vector<int> counts(outer * inner, 0);
-  parallel_for(outer, [&](std::size_t i) {
+  sweep_for(outer, [&](std::size_t i) {
     // Inside a worker this inner loop runs serially on the same thread, so
     // writing counts[i * inner + j] from it is race-free.
-    parallel_for(inner, [&](std::size_t j) { ++counts[i * inner + j]; });
+    sweep_for(inner, [&](std::size_t j) { ++counts[i * inner + j]; });
   });
   for (std::size_t k = 0; k < counts.size(); ++k)
     EXPECT_EQ(counts[k], 1) << "k=" << k;
@@ -54,7 +55,7 @@ TEST(ParallelForTest, PropagatesExceptionFromWorker) {
   scoped_thread_count threads(4);
   std::atomic<int> completed{0};
   EXPECT_THROW(
-      parallel_for(100,
+      sweep_for(100,
                    [&](std::size_t i) {
                      if (i == 3) throw std::runtime_error("trial failed");
                      completed.fetch_add(1, std::memory_order_relaxed);
@@ -65,23 +66,24 @@ TEST(ParallelForTest, PropagatesExceptionFromWorker) {
 }
 
 TEST(ParallelForTest, ScopedThreadCountOverridesAndRestores) {
-  const std::size_t ambient = max_threads();
+  const std::size_t ambient = thread_count();
   {
     scoped_thread_count outer(3);
-    EXPECT_EQ(max_threads(), 3u);
+    EXPECT_EQ(thread_count(), 3u);
     {
       scoped_thread_count inner(7);
-      EXPECT_EQ(max_threads(), 7u);
+      EXPECT_EQ(thread_count(), 7u);
     }
-    EXPECT_EQ(max_threads(), 3u);
+    EXPECT_EQ(thread_count(), 3u);
   }
-  EXPECT_EQ(max_threads(), ambient);
+  EXPECT_EQ(thread_count(), ambient);
 }
 
 TEST(ParallelMapTest, PreservesIndexOrdering) {
   scoped_thread_count threads(4);
-  const auto squares =
-      parallel_map<std::size_t>(100, [](std::size_t i) { return i * i; });
+  // One disjoint slot per index: the map idiom every evaluator uses.
+  std::vector<std::size_t> squares(100);
+  sweep_for(squares.size(), [&](std::size_t i) { squares[i] = i * i; });
   ASSERT_EQ(squares.size(), 100u);
   for (std::size_t i = 0; i < squares.size(); ++i) EXPECT_EQ(squares[i], i * i);
 }
@@ -91,8 +93,8 @@ TEST(ParallelMapTest, PreservesIndexOrdering) {
 // The Monte-Carlo evaluators derive each trial's RNG stream from (base
 // seed, trial index), so their results must be bit-identical at any thread
 // count AND equal to the pre-parallelization serial outputs. The literals
-// below were captured from the serial implementation before parallel_for
-// was introduced; a change in any of them is a regression, not noise.
+// below were captured from the serial implementation before the parallel
+// loops were introduced; a change in any of them is a regression, not noise.
 
 scenario_config anchor_scenario(double distance_m) {
   scenario_config c;

@@ -330,17 +330,44 @@ TEST(RoiChainTest, ReadRangesFollowTheFullRangeRules) {
   hooked.front_end_hook = [](std::span<cplx>) {};
   fd::receive_chain_config tracked = cfg;
   tracked.track_residual_gain = true;
-  fd::receive_chain_config long_taps = cfg;
-  long_taps.analog.n_taps = dsp::fft_convolve_min_taps;
-  for (const auto* c : {&hooked, &tracked, &long_taps}) {
+  for (const auto* c : {&hooked, &tracked}) {
     r = fd::chain_read_ranges(*c, c->roi, n, 100, 420);
     ASSERT_EQ(r.count, 1u);
     EXPECT_EQ(r.ranges[0].end, n);
   }
+  // Tap count is not a full-range rule: long canceller filters run the
+  // same windowed kernels and read the same union.
+  fd::receive_chain_config long_taps = cfg;
+  long_taps.analog.n_taps = 96;
+  long_taps.digital.n_taps = 128;
+  r = fd::chain_read_ranges(long_taps, long_taps.roi, n, 100, 420);
+  ASSERT_EQ(r.count, 2u);
+  EXPECT_EQ(r.ranges[0].end, 420u);
+  EXPECT_EQ(r.ranges[1].begin, 900u);
   // A degenerate silent window bypasses with a whole-capture copy.
   r = fd::chain_read_ranges(cfg, cfg.roi, n, 420, 420);
   ASSERT_EQ(r.count, 1u);
   EXPECT_EQ(r.ranges[0].end, n);
+}
+
+TEST(RoiChainTest, LongTapsRoiOnMatchesRoiOffBitExact) {
+  // Canceller filters far longer than the default 6/8 taps: the windowed
+  // chain still reproduces the full sweep bit for bit over silent ∪ roi,
+  // and skips the rest.
+  const chain_scenario s = make_chain_scenario(7);
+  fd::receive_chain_config cfg;
+  cfg.analog.n_taps = 96;
+  cfg.digital.n_taps = 100;
+  const chain_run full = run_chain(s, cfg);
+  const dsp::sample_range roi{1000, 2400};
+  cfg.roi = roi;
+  const chain_run run = run_chain(s, cfg);
+  expect_scalar_results_equal(run.result, full.result, "long taps");
+  expect_saturation_definition(run, full, roi, "long taps");
+  expect_union_samples_equal(run.result.cleaned, full.result.cleaned, roi,
+                             "long taps");
+  EXPECT_EQ(run.result.roi_samples_processed,
+            (kSilentEnd - kSilentBegin) + roi.size());
 }
 
 TEST(RoiChainTest, EmitsRoiGaugesWhenConfigured) {
